@@ -28,20 +28,17 @@
 //! [magic u32][version u32][crc32(body) u32][body]
 //! body = dict · segment capacity · 4 tables (cells, null flags, zones)
 //!        · session meta (epochs, now_ns, ingest stats, arrival runs)
-//!        · standing queries (name, TBQL text, opaque state,
-//!          v2: frontier state)
-//!        · v2: path-catalog digest (flag, canonical length + crc32)
+//!        · standing queries (name, TBQL text, opaque state, frontier state)
+//!        · path-catalog digest (flag = 1, canonical length + crc32)
 //! ```
 //!
-//! Version 2 appends each standing query's cached [`PathFrontier`] state
-//! (so recovery resumes delta-incremental path matching without a cold
-//! rebuild) and a digest of the path cardinality catalog. The catalog
-//! itself is *never* serialized — replay through the load seam rebuilds it
-//! by construction — the digest only cross-checks that the rebuilt catalogs
-//! (both backends maintain one through the same `record_edge` seam) match
-//! what the checkpointed process observed. Version-1 checkpoints still
-//! restore cleanly: the catalog is rebuilt from the replayed rows and the
-//! frontiers rebuild lazily on the first post-recovery epoch.
+//! The layout is version 2, the only version [`decode`] accepts. Each
+//! standing query carries its cached [`PathFrontier`] state, so recovery
+//! resumes delta-incremental path matching without a cold rebuild. The
+//! path cardinality catalog itself is *never* serialized — replay through
+//! the load seam rebuilds it by construction — the digest only
+//! cross-checks that the rebuilt catalog (kept once, in the relational
+//! store's statistics) matches what the checkpointed process observed.
 //!
 //! Corrupt input — truncation, bit flips, implausible lengths — decodes to
 //! a typed [`Error::storage`], never a panic.
@@ -71,8 +68,6 @@ pub const CKPT_FILE: &str = "ckpt";
 
 const MAGIC: u32 = 0x5452_434B; // "KCRT" little-endian: reads as "TRCK" tag
 const VERSION: u32 = 2;
-/// Oldest version [`decode`] still accepts (restored with cold frontiers).
-const MIN_VERSION: u32 = 1;
 
 /// Fixed serialization order of the audit tables.
 const TABLES: [&str; 4] = ["files", "processes", "netconns", "events"];
@@ -189,22 +184,6 @@ pub fn encode(
     standing: &[StandingSnap<'_>],
     meta: &SessionMeta,
 ) -> Result<Vec<u8>> {
-    encode_versioned(stores, standing, meta, VERSION)
-}
-
-/// Encodes at an older layout version. Exists so the recovery tests can
-/// prove that checkpoints written by previous releases still restore; live
-/// code always writes [`VERSION`].
-#[doc(hidden)]
-pub fn encode_versioned(
-    stores: &LoadedStores,
-    standing: &[StandingSnap<'_>],
-    meta: &SessionMeta,
-    version: u32,
-) -> Result<Vec<u8>> {
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(Error::storage(format!("cannot encode checkpoint version {version}")));
-    }
     let mut body = Vec::with_capacity(4096);
     // Dictionary, in insertion order: restoring it first pins every Sym.
     io::put_u64(&mut body, stores.dict.len() as u64);
@@ -240,36 +219,30 @@ pub fn encode_versioned(
         snap.query.encode_state(&mut state);
         io::put_u64(&mut body, state.len() as u64);
         body.extend_from_slice(&state);
-        if version >= 2 {
-            // The cached path-frontier state, its own length-prefixed blob.
-            let mut frontier = Vec::new();
-            snap.query.encode_frontier_state(&mut frontier);
-            io::put_u64(&mut body, frontier.len() as u64);
-            body.extend_from_slice(&frontier);
-        }
+        // The cached path-frontier state, its own length-prefixed blob.
+        let mut frontier = Vec::new();
+        snap.query.encode_frontier_state(&mut frontier);
+        io::put_u64(&mut body, frontier.len() as u64);
+        body.extend_from_slice(&frontier);
     }
-    if version >= 2 {
-        // Path-catalog digest. Absent when the escape hatch disabled
-        // maintenance in this process — a restore can then still rebuild
-        // its own catalog from the replayed rows without a spurious
-        // mismatch.
-        if stores.graph.store_stats().catalog().enabled() {
-            let canonical = stores.graph.store_stats().catalog().canonical(&stores.dict);
-            let rendered = format!("{canonical:?}");
-            io::put_u8(&mut body, 1);
-            io::put_u64(&mut body, rendered.len() as u64);
-            io::put_u32(&mut body, io::crc32(rendered.as_bytes()));
-        } else {
-            io::put_u8(&mut body, 0);
-        }
-    }
+    // Path-catalog digest behind its flag byte, which always reads 1.
+    let rendered = catalog_digest_source(stores);
+    io::put_u8(&mut body, 1);
+    io::put_u64(&mut body, rendered.len() as u64);
+    io::put_u32(&mut body, io::crc32(rendered.as_bytes()));
 
     let mut out = Vec::with_capacity(12 + body.len());
     io::put_u32(&mut out, MAGIC);
-    io::put_u32(&mut out, version);
+    io::put_u32(&mut out, VERSION);
     io::put_u32(&mut out, io::crc32(&body));
     out.extend_from_slice(&body);
     Ok(out)
+}
+
+/// The text the catalog digest checksums: the canonical (dictionary-
+/// independent) rendering of the store's one path catalog.
+fn catalog_digest_source(stores: &LoadedStores) -> String {
+    format!("{:?}", stores.rel.store_stats().catalog().canonical(&stores.dict))
 }
 
 // ---------------------------------------------------------------------------
@@ -518,7 +491,7 @@ pub fn decode(bytes: &[u8]) -> Result<Restored> {
         return Err(Error::storage("not a ThreatRaptor checkpoint (bad magic)"));
     }
     let version = cur.get_u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(Error::storage(format!("unsupported checkpoint version {version}")));
     }
     let crc = cur.get_u32()?;
@@ -654,43 +627,23 @@ pub fn decode(bytes: &[u8]) -> Result<Restored> {
             .map_err(|e| Error::storage(format!("checkpoint: bad standing query: {e}")))?;
         let mut q = StandingQuery::new(name.clone(), aq, dict.clone())?;
         q.decode_state(&mut Cur::new(state))?;
-        if version >= 2 {
-            let frontier_len = cur.get_len()?;
-            let frontier = cur.get_bytes(frontier_len)?;
-            q.decode_frontier_state(&mut Cur::new(frontier))?;
-        }
+        let frontier_len = cur.get_len()?;
+        let frontier = cur.get_bytes(frontier_len)?;
+        q.decode_frontier_state(&mut Cur::new(frontier))?;
         queries.push((name, text, q));
     }
 
-    // 8. v2: cross-check the rebuilt path catalogs against the digest the
-    //    checkpointed process recorded. Skipped when either side ran with
-    //    the catalog disabled — an escape-hatch restart must not be wedged
-    //    by a checkpoint from an enabled run, or vice versa.
-    if version >= 2 {
-        match cur.get_u8()? {
-            0 => {}
-            1 => {
-                let len = cur.get_u64()?;
-                let crc = cur.get_u32()?;
-                for (backend, s) in [
-                    ("graph", stores.graph.store_stats()),
-                    ("relational", stores.rel.store_stats()),
-                ] {
-                    if !s.catalog().enabled() {
-                        continue;
-                    }
-                    let rendered = format!("{:?}", s.catalog().canonical(&dict));
-                    if rendered.len() as u64 != len || io::crc32(rendered.as_bytes()) != crc {
-                        return Err(Error::storage(format!(
-                            "checkpoint integrity: {backend} path catalog diverged after replay"
-                        )));
-                    }
-                }
-            }
-            other => {
-                return Err(Error::storage(format!("invalid catalog digest tag {other}")));
-            }
-        }
+    // 8. Cross-check the rebuilt path catalog against the digest the
+    //    checkpointed process recorded.
+    let tag = cur.get_u8()?;
+    if tag != 1 {
+        return Err(Error::storage(format!("invalid catalog digest tag {tag}")));
+    }
+    let len = cur.get_u64()?;
+    let crc = cur.get_u32()?;
+    let rendered = catalog_digest_source(&stores);
+    if rendered.len() as u64 != len || io::crc32(rendered.as_bytes()) != crc {
+        return Err(Error::storage("checkpoint integrity: path catalog diverged after replay"));
     }
     if !cur.is_done() {
         return Err(Error::storage(format!(
@@ -753,40 +706,6 @@ mod tests {
         }
     }
 
-    /// Version-1 images (no frontier state, no catalog digest) still
-    /// restore: the catalog is rebuilt from the replayed rows and the
-    /// standing query's frontier rebuilds lazily on its next advance.
-    #[test]
-    fn v1_checkpoints_still_restore() {
-        use raptor_tbql::{analyze::analyze, parse_tbql};
-        let log = sample_log();
-        let stores = load::load(&log).unwrap();
-        let meta = meta_for(&log, stores.now_ns);
-        let text = "proc p read file f as e1 return p, f";
-        let q = StandingQuery::new(
-            "hunt",
-            analyze(&parse_tbql(text).unwrap()).unwrap(),
-            stores.dict.clone(),
-        )
-        .unwrap();
-        let snaps = [StandingSnap { name: "hunt", text, query: &q }];
-        let bytes = encode_versioned(&stores, &snaps, &meta, 1).unwrap();
-        let restored = decode(&bytes).unwrap();
-        assert_eq!(restored.queries.len(), 1);
-        assert_eq!(restored.stores.graph.edge_count(), stores.graph.edge_count());
-        // The rebuilt catalog matches the live store's — replay went
-        // through the same write seam.
-        assert_eq!(
-            restored.stores.graph.store_stats().catalog().canonical(&restored.stores.dict),
-            stores.graph.store_stats().catalog().canonical(&stores.dict),
-        );
-        // A version we have never shipped is refused, both ways.
-        assert!(encode_versioned(&stores, &[], &meta, 3).is_err());
-        let mut future = encode(&stores, &[], &meta).unwrap();
-        future[4..8].copy_from_slice(&3u32.to_le_bytes());
-        assert!(decode(&future).is_err());
-    }
-
     /// The current version round-trips standing state *and* the catalog
     /// digest: replay must reproduce the exact catalog or decode refuses.
     #[test]
@@ -798,8 +717,8 @@ mod tests {
         let restored = decode(&bytes).unwrap();
         assert_eq!(
             restored.stores.rel.store_stats().catalog().canonical(&restored.stores.dict),
-            stores.graph.store_stats().catalog().canonical(&stores.dict),
-            "both rebuilt catalogs must match the encoded digest's source"
+            stores.rel.store_stats().catalog().canonical(&stores.dict),
+            "the rebuilt catalog must match the encoded digest's source"
         );
     }
 
@@ -820,5 +739,19 @@ mod tests {
             corrupt[i] ^= 0x10;
             assert!(decode(&corrupt).is_err(), "flip at {i} must error");
         }
+        // Any version but the current one is refused, as is a catalog
+        // digest flag other than 1 (even under a valid checksum).
+        for version in [1u32, 3] {
+            let mut other = clean.clone();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(decode(&other).is_err(), "version {version} must be refused");
+        }
+        let mut no_digest = clean.clone();
+        let flag = no_digest.len() - 13;
+        assert_eq!(no_digest[flag], 1);
+        no_digest[flag] = 0;
+        let crc = io::crc32(&no_digest[12..]);
+        no_digest[8..12].copy_from_slice(&crc.to_le_bytes());
+        assert!(decode(&no_digest).is_err(), "digest flag 0 must be refused");
     }
 }

@@ -4,8 +4,9 @@
 //! (constraint count minus a path-length penalty) which cannot tell a
 //! highly selective `exename = '/usr/bin/gpg'` from a near-useless
 //! `name like '%'`. This module turns a typed pattern request plus the
-//! backends' maintained statistics ([`StoreStats`]) into an **estimated
-//! output cardinality**, the cost signal `schedule.rs` orders by:
+//! relational store's maintained statistics ([`StoreStats`], the only copy
+//! the system keeps) into an **estimated output cardinality**, the cost
+//! signal `schedule.rs` orders by:
 //!
 //! * event patterns: `|events| × sel(kind) × sel(event predicates) ×
 //!   frac(subject) × frac(object)` under conjunct independence, where the
@@ -18,17 +19,16 @@
 //!   walk counts `walks(k, src-class, dst-class)` for `k ≤ CATALOG_K`
 //!   (geometric extrapolation from the cataloged ratio beyond), a final-hop
 //!   operation selectivity from the per-(class, optype, class) edge
-//!   counts, and the subject/object candidate fractions. When the catalog
-//!   is cold (or disabled via `RAPTOR_PATH_CATALOG=0`) the estimator falls
-//!   back to degree-power expansion à la Pathce: the seeded start set fans
-//!   out by the subject class's mean out-degree for the first hop and the
-//!   store-wide mean degree per further hop.
+//!   counts, and the subject/object candidate fractions. The catalog is
+//!   maintained below the write seam, so it is never cold while the
+//!   `events` table — the scheduler's precondition for cost-based
+//!   ordering — is non-empty.
 //!
-//! Either way the result is clamped: **capped** at the catalog's observed
+//! The result is clamped: **capped** at the catalog's observed
 //! reachable-pair count (sources with out-edges × destinations with
 //! in-edges) and the candidate cross product, and **floored** at one row
 //! when the scheduler seeded either endpoint (seeds exist because earlier
-//! patterns matched), so Q-error stays bounded even on the fallback path.
+//! patterns matched), so Q-error stays bounded.
 //!
 //! Estimates and the measured actual rows are both recorded in
 //! `EngineStats` ([`PatternEstimate`]), so scheduler **Q-error** is
@@ -121,26 +121,19 @@ pub fn estimate_event_pattern(req: &EventPatternQuery, rel: &StoreStats) -> f64 
 }
 
 /// Estimated result rows of one path-pattern data query against the graph
-/// store: decomposition against the path cardinality catalog when it is
-/// warm, degree-power expansion as the cold-catalog fallback — both
-/// clamped to the observed reachable-pair cap and the seeded-candidate
-/// floor (module docs).
-pub fn estimate_path_pattern(req: &PathPatternQuery, graph: &StoreStats) -> f64 {
-    let start = entity_count(graph, &req.subject);
-    let end = entity_count(graph, &req.object);
+/// store: decomposition against the path cardinality catalog, clamped to
+/// the observed reachable-pair cap and the seeded-candidate floor (module
+/// docs).
+pub fn estimate_path_pattern(req: &PathPatternQuery, stats: &StoreStats) -> f64 {
+    let start = entity_count(stats, &req.subject);
+    let end = entity_count(stats, &req.object);
     let lo = req.min_hops.max(1);
     let hi = req.max_hops.unwrap_or(req.hop_cap).min(req.hop_cap).max(lo);
-    let cat = graph.catalog();
-    let mut est = if cat.is_warm() {
-        decomposition_estimate(req, graph, cat, lo, hi)
-    } else {
-        degree_power_estimate(req, graph, lo, hi)
-    };
-    if cat.is_warm() {
-        // Hard bound from the catalog: distinct (subject, object) pairs
-        // cannot exceed sources-with-out-edges × sinks-with-in-edges.
-        est = est.min(cat.reachable_pairs(req.subject.class, req.object.class) as f64);
-    }
+    let cat = stats.catalog();
+    // Hard bound from the catalog: distinct (subject, object) pairs cannot
+    // exceed sources-with-out-edges × sinks-with-in-edges.
+    let mut est = decomposition_estimate(req, stats, cat, lo, hi)
+        .min(cat.reachable_pairs(req.subject.class, req.object.class) as f64);
     // Results are DISTINCT (subject, object[, final event]) bindings:
     // bounded by the candidate cross product.
     est = est.min(start.max(1.0) * end.max(1.0));
@@ -159,22 +152,22 @@ pub fn estimate_path_pattern(req: &PathPatternQuery, graph: &StoreStats) -> f64 
 /// from the cataloged `walks(K)/walks(K-1)` ratio.
 fn decomposition_estimate(
     req: &PathPatternQuery,
-    graph: &StoreStats,
+    stats: &StoreStats,
     cat: &PathCatalog,
     lo: u32,
     hi: u32,
 ) -> f64 {
     let (c, d) = (req.subject.class, req.object.class);
-    let class_nodes = |cl: EntityClass| graph.degree(cl).map_or(0, |ds| ds.nodes).max(1) as f64;
-    let subj_frac = (entity_count(graph, &req.subject) / class_nodes(c)).min(1.0);
+    let class_nodes = |cl: EntityClass| stats.degree(cl).map_or(0, |ds| ds.nodes).max(1) as f64;
+    let subj_frac = (entity_count(stats, &req.subject) / class_nodes(c)).min(1.0);
     let obj_frac = if req.subject_is_object {
         // The path must close back on its start node.
         1.0 / class_nodes(d)
     } else {
-        (entity_count(graph, &req.object) / class_nodes(d)).min(1.0)
+        (entity_count(stats, &req.object) / class_nodes(d)).min(1.0)
     };
     let final_sel = match &req.final_hop_pred {
-        Some(p) => final_hop_selectivity(p, cat, d, graph),
+        Some(p) => final_hop_selectivity(p, cat, d, stats),
         None => 1.0,
     };
     let wk1 = cat.walks(CATALOG_K - 1, c, d) as f64;
@@ -182,7 +175,7 @@ fn decomposition_estimate(
     let ratio = if wk1 > 0.0 {
         wk / wk1
     } else {
-        graph.total_edges() as f64 / graph.total_nodes().max(1) as f64
+        stats.total_edges() as f64 / stats.total_nodes().max(1) as f64
     };
     let mut total = 0.0;
     for k in lo..=hi {
@@ -203,13 +196,13 @@ fn final_hop_selectivity(
     pred: &Pred,
     cat: &PathCatalog,
     d: EntityClass,
-    graph: &StoreStats,
+    stats: &StoreStats,
 ) -> f64 {
     let into = cat.edges_into_class(d).max(1) as f64;
     let op_frac = |v: &Value| -> Option<f64> {
         let sym = v.as_sym()?;
         // `%` wildcards carry LIKE semantics: not an exact op lookup.
-        if graph.dict().resolve(sym).contains('%') {
+        if stats.dict().resolve(sym).contains('%') {
             return None;
         }
         Some(cat.op_into_class(sym, d) as f64 / into)
@@ -217,11 +210,11 @@ fn final_hop_selectivity(
     let sel = match pred {
         Pred::Cmp { attr, op: CmpOp::Eq, value } if attr == "optype" => match op_frac(value) {
             Some(f) => f,
-            None => fallback_selectivity(pred, graph),
+            None => fallback_selectivity(pred, stats),
         },
         Pred::Cmp { attr, op: CmpOp::Ne, value } if attr == "optype" => match op_frac(value) {
             Some(f) => 1.0 - f,
-            None => fallback_selectivity(pred, graph),
+            None => fallback_selectivity(pred, stats),
         },
         Pred::InSet { attr, negated, values } if attr == "optype" => {
             match values.iter().map(op_frac).collect::<Option<Vec<f64>>>() {
@@ -233,57 +226,25 @@ fn final_hop_selectivity(
                         f
                     }
                 }
-                None => fallback_selectivity(pred, graph),
+                None => fallback_selectivity(pred, stats),
             }
         }
         Pred::And(a, b) => {
-            final_hop_selectivity(a, cat, d, graph) * final_hop_selectivity(b, cat, d, graph)
+            final_hop_selectivity(a, cat, d, stats) * final_hop_selectivity(b, cat, d, stats)
         }
         Pred::Or(a, b) => {
             let (sa, sb) =
-                (final_hop_selectivity(a, cat, d, graph), final_hop_selectivity(b, cat, d, graph));
+                (final_hop_selectivity(a, cat, d, stats), final_hop_selectivity(b, cat, d, stats));
             sa + sb - sa * sb
         }
-        Pred::Not(inner) => 1.0 - final_hop_selectivity(inner, cat, d, graph),
-        other => fallback_selectivity(other, graph),
+        Pred::Not(inner) => 1.0 - final_hop_selectivity(inner, cat, d, stats),
+        other => fallback_selectivity(other, stats),
     };
     sel.clamp(0.0, 1.0)
 }
 
-fn fallback_selectivity(pred: &Pred, graph: &StoreStats) -> f64 {
-    graph.table("events").map_or(1.0, |t| selectivity(t, pred, graph.dict()))
-}
-
-/// The pre-catalog estimator, kept as the cold/disabled-catalog fallback:
-/// degree-power expansion over the adjacency summaries.
-fn degree_power_estimate(req: &PathPatternQuery, graph: &StoreStats, lo: u32, hi: u32) -> f64 {
-    let total_nodes = graph.total_nodes().max(1) as f64;
-    let total_edges = graph.total_edges() as f64;
-    let start = entity_count(graph, &req.subject);
-    let end = entity_count(graph, &req.object);
-    // First hop: the subject class's mean out-degree; later hops: the
-    // store-wide mean (intermediate nodes are unlabeled).
-    let first_fanout = graph.degree(req.subject.class).map_or(0.0, |d| d.avg_out());
-    let fanout = total_edges / total_nodes;
-    let final_sel = match &req.final_hop_pred {
-        Some(p) => graph.table("events").map_or(1.0, |t| selectivity(t, p, graph.dict())),
-        None => 1.0,
-    };
-    let end_frac = if req.subject_is_object {
-        // The path must close back on its start node.
-        1.0 / total_nodes
-    } else {
-        (end / total_nodes).min(1.0)
-    };
-    let mut total = 0.0;
-    let mut frontier = start * first_fanout;
-    for h in 1..=hi {
-        if h >= lo {
-            total += frontier * final_sel * end_frac;
-        }
-        frontier *= fanout;
-    }
-    total
+fn fallback_selectivity(pred: &Pred, stats: &StoreStats) -> f64 {
+    stats.table("events").map_or(1.0, |t| selectivity(t, pred, stats.dict()))
 }
 
 #[cfg(test)]
@@ -295,9 +256,6 @@ mod tests {
     /// 5 network connects.
     fn stats() -> StoreStats {
         let mut s = StoreStats::default();
-        // Env-independent: these tests pin catalog behaviour, so force the
-        // catalog on even under `RAPTOR_PATH_CATALOG=0`.
-        *s.catalog_mut() = raptor_storage::PathCatalog::new(true);
         for id in 0..10 {
             s.record_node(EntityClass::Process, id);
             let exe = s.dict().intern(if id == 0 { "/usr/bin/gpg" } else { "/bin/noise" });
@@ -384,7 +342,6 @@ mod tests {
     #[test]
     fn catalog_decomposition_sees_dead_ends() {
         let s = stats();
-        assert!(s.catalog().is_warm());
         let one = estimate_path_pattern(&path(&s, Some(1)), &s);
         let four = estimate_path_pattern(&path(&s, Some(4)), &s);
         assert!(one > 0.0);
@@ -393,6 +350,13 @@ mod tests {
         let unbounded = estimate_path_pattern(&path(&s, None), &s);
         assert!(unbounded.is_finite());
         assert!(unbounded <= 50.0 + 1e-9, "{unbounded}");
+        // Seeding both endpoints binds the candidate cross product (2 × 1)
+        // below the decomposed 100 × 0.8 × 2/10 × 1/5 = 3.2 rows.
+        let mut seeded = path(&s, Some(1));
+        seeded.subject.id_in = Some(vec![0, 1]);
+        seeded.object.id_in = Some(vec![10]);
+        let est = estimate_path_pattern(&seeded, &s);
+        assert!((est - 2.0).abs() < 1e-9, "{est}");
     }
 
     /// Multi-hop connectivity *is* credited when the catalog has walks: a
@@ -401,7 +365,6 @@ mod tests {
     #[test]
     fn catalog_decomposition_grows_with_real_walks() {
         let mut s = StoreStats::default();
-        *s.catalog_mut() = raptor_storage::PathCatalog::new(true);
         for id in 0..10 {
             s.record_node(EntityClass::Process, id);
             s.table_mut("processes").record_row();
@@ -424,19 +387,21 @@ mod tests {
         assert!(four > one, "{four} vs {one}");
     }
 
-    /// The cold-catalog fallback keeps the old degree-power behaviour —
-    /// estimates grow with hops — but is now clamped by the candidate
-    /// cross product and floored at one row when an endpoint is seeded.
+    /// An empty catalog (entities, no events) still yields clamped
+    /// estimates: the cross-product cap keeps unbounded paths finite and
+    /// the seeded-candidate floor keeps seeded ones at one row or more.
     #[test]
-    fn degree_power_fallback_is_clamped() {
-        let mut s = stats();
-        *s.catalog_mut() = raptor_storage::PathCatalog::new(false);
-        assert!(!s.catalog().is_warm());
-        let one = estimate_path_pattern(&path(&s, Some(1)), &s);
-        let four = estimate_path_pattern(&path(&s, Some(4)), &s);
-        assert!(one > 0.0);
-        assert!(four > one, "{four} vs {one}");
-        // The cross-product cap keeps unbounded paths finite.
+    fn empty_catalog_estimates_are_clamped() {
+        let mut s = StoreStats::default();
+        for id in 0..10 {
+            s.record_node(EntityClass::Process, id);
+            s.table_mut("processes").record_row();
+        }
+        for id in 10..15 {
+            s.record_node(EntityClass::File, id);
+            s.table_mut("files").record_row();
+        }
+        assert_eq!(s.catalog().walks(1, EntityClass::Process, EntityClass::File), 0);
         let unbounded = estimate_path_pattern(&path(&s, None), &s);
         assert!(unbounded.is_finite());
         assert!(unbounded <= 10.0 * 5.0 + 1e-9, "{unbounded}");

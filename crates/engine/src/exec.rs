@@ -645,7 +645,8 @@ impl Engine {
         let mut sp = obs::span("engine.plan");
         sp.attr("patterns", aq.patterns.len() as u64);
         let mut estimates = base_estimates(aq);
-        let stats_ready = self.rel().stats().table("events").is_some_and(|t| t.rows() > 0);
+        let store_stats = self.stores.rel.store_stats();
+        let stats_ready = store_stats.table("events").is_some_and(|t| t.rows() > 0);
         let used = if mode == SchedulerMode::CostBased && stats_ready {
             SchedulerMode::CostBased
         } else {
@@ -661,16 +662,16 @@ impl Engine {
                             .entities
                             .get(v)
                             .map(|e| class_for_type(e.ty))
-                            .and_then(|c| self.rel().stats().table(c.table_name()))
+                            .and_then(|c| store_stats.table(c.table_name()))
                             .map_or(0, |t| t.rows());
                         rows.max(1) as f64
                     };
                     let est = if p.is_path() {
                         let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
-                        estimate_path_pattern(&req, self.graph().stats())
+                        estimate_path_pattern(&req, store_stats)
                     } else {
                         let req = event_pattern_request(ctx, p, prop)?;
-                        estimate_event_pattern(&req, self.rel().stats())
+                        estimate_event_pattern(&req, store_stats)
                     };
                     base.push(est);
                     sides.push([

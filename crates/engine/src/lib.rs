@@ -12,14 +12,16 @@
 //!   also emits the *giant* whole-query SQL/Cypher used as baselines and for
 //!   the Table X conciseness comparison,
 //! * [`schedule`] — the data-query scheduling algorithm: patterns ordered
-//!   by *estimated output cardinality* from the backends' maintained
-//!   statistics (the cost-based default), falling back to the paper's
-//!   syntactic pruning score when stats are absent; intermediate results
-//!   propagate into dependent patterns as `IN` filters either way,
+//!   by *estimated output cardinality* from the maintained statistics
+//!   (the cost-based default), falling back to the paper's syntactic
+//!   pruning score when stats are absent; intermediate results propagate
+//!   into dependent patterns as `IN` filters either way,
 //! * [`estimate`] — the cardinality estimator feeding the scheduler:
 //!   predicate selectivity from distinct/top-k/histogram column stats,
-//!   path patterns via degree-power expansion over adjacency summaries,
-//!   with per-pattern estimated-vs-actual (Q-error) observability,
+//!   path patterns by decomposition against the path cardinality catalog,
+//!   all read from the relational store's statistics (the only copy the
+//!   system keeps), with per-pattern estimated-vs-actual (Q-error)
+//!   observability,
 //! * [`exec`] — the [`exec::Engine`]: scheduled execution, cross-pattern
 //!   joins on shared entities, `with`-clause evaluation, projection; plus
 //!   the giant-SQL and giant-Cypher execution paths,

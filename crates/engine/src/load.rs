@@ -239,11 +239,25 @@ pub fn append_entity(
 }
 
 /// Appends one event to both stores; advances the `now_ns` watermark.
+///
+/// Both endpoints must already be stored. A dangling event is refused
+/// before it is logged or applied, so neither store (nor the WAL) ever
+/// holds an event the other lacks, and every stored event reaches the
+/// path catalog.
 pub fn append_event(
     stores: &mut LoadedStores,
     ev: &SystemEvent,
     stats: &mut BackendStats,
 ) -> Result<()> {
+    let nodes = stores.graph.node_count();
+    for (role, id) in [("subject", ev.subject.index()), ("object", ev.object.index())] {
+        if id >= nodes {
+            return Err(Error::storage(format!(
+                "event {} {role} {id} is not a stored entity ({nodes} stored)",
+                ev.id.index()
+            )));
+        }
+    }
     if let Some(wal) = &stores.wal {
         wal.log_event(ev)?;
     }
@@ -346,6 +360,36 @@ mod tests {
         let rel_id = r.row(0)[0].as_int().unwrap();
         let g_id = stores.graph.node_prop(nodes[0], "id").unwrap();
         assert_eq!(g_id, raptor_graphstore::PropValue::Int(rel_id));
+    }
+
+    /// An event naming an entity that was never stored is refused before
+    /// the WAL or either store sees it: no split brain between the stores.
+    #[test]
+    fn dangling_event_leaves_stores_and_wal_untouched() {
+        use raptor_common::io::MemFs;
+        use std::sync::Arc;
+
+        let log = sample_log();
+        let mut stores = load(&log).unwrap();
+        let fs = Arc::new(MemFs::new());
+        stores.wal = Some(crate::wal::WalSink::new(fs.clone()));
+        let nodes = stores.graph.node_count();
+        let mut stats = BackendStats::default();
+        for (subject, object) in [(nodes, 0), (0, nodes), (nodes + 5, nodes + 9)] {
+            let mut ev = log.events[0].clone();
+            ev.id = raptor_common::ids::EventId(log.events.len() as u32);
+            ev.subject = raptor_common::ids::EntityId(subject as u32);
+            ev.object = raptor_common::ids::EntityId(object as u32);
+            assert!(append_event(&mut stores, &ev, &mut stats).is_err());
+        }
+        assert_eq!(stats.items_inserted, 0);
+        assert_eq!(stores.rel.table("events").unwrap().len(), log.events.len());
+        assert_eq!(stores.graph.edge_count(), log.events.len());
+        assert_eq!(
+            stores.rel.store_stats().table("events").unwrap().rows(),
+            log.events.len() as u64
+        );
+        assert!(fs.snapshot(crate::wal::WAL_FILE).is_empty());
     }
 
     #[test]

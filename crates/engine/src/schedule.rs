@@ -12,9 +12,9 @@
 //!
 //! That syntactic score is now the **fallback**. The default scheduler is
 //! *cost-based*: each pattern's output cardinality is estimated from the
-//! backends' maintained statistics (see [`crate::estimate`]) and patterns
-//! run in ascending estimated-rows order — the most selective data query
-//! first, so its results prune everything after it. Ties (and the whole
+//! relational store's maintained statistics (see [`crate::estimate`]) and
+//! patterns run in ascending estimated-rows order — the most selective
+//! data query first, so its results prune everything after it. Ties (and the whole
 //! order, when stats are absent) fall back to the syntactic score; at equal
 //! scores event patterns run before path patterns (an indexed three-way
 //! join is cheaper than a graph traversal), then query order keeps runs
@@ -29,8 +29,8 @@ use raptor_tbql::{Arrow, AttrExpr, OpExpr, PatternOp};
 /// How the scheduled executor orders its per-pattern data queries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerMode {
-    /// Ascending estimated output cardinality from `StorageBackend::stats`;
-    /// falls back to [`SchedulerMode::Syntactic`] when the stores carry no
+    /// Ascending estimated output cardinality from the relational store's
+    /// `StoreStats`; falls back to [`SchedulerMode::Syntactic`] when the stores carry no
     /// statistics (empty stores).
     #[default]
     CostBased,

@@ -15,12 +15,11 @@
 //!   through a cached [`PathFrontier`]: each epoch's new edges extend the
 //!   per-query min-distance frontier (and retro-seed walks passing through
 //!   them) instead of re-walking the graph, so per-epoch cost tracks the
-//!   epoch size. Shapes outside the frontier's equivalence envelope — and
-//!   every path pattern when `RAPTOR_PATH_CATALOG=0` — fall back to full
-//!   re-evaluation each epoch (their match set is *replaced*, which is
-//!   still monotone on a grow-only store). Either way the accumulated match
-//!   list is kept canonically sorted, so emitted deltas are byte-identical
-//!   whichever path ran,
+//!   epoch size. Shapes outside the frontier's equivalence envelope fall
+//!   back to full re-evaluation each epoch (their match set is *replaced*,
+//!   which is still monotone on a grow-only store). Either way the
+//!   accumulated match list is kept canonically sorted, so emitted deltas
+//!   are byte-identical whichever path ran,
 //! * the cross-pattern join, `with`-clause constraints, and projection then
 //!   run in memory over the accumulated match sets (the same
 //!   `join_project` stage one-shot scheduled execution uses), and the
@@ -81,8 +80,7 @@ enum FrontierSlot {
     /// Not yet decided — building the frontier needs the compiled request,
     /// which needs the engine, so it happens on the first advance.
     Unknown,
-    /// Ineligible pattern shape, or the path-catalog plane is disabled
-    /// (`RAPTOR_PATH_CATALOG=0`): full re-evaluation every epoch.
+    /// Ineligible pattern shape: full re-evaluation every epoch.
     Off,
     On(Box<PathFrontier>),
 }
@@ -96,9 +94,6 @@ fn build_frontier(
     pending: &mut Option<Vec<u8>>,
     matches: &[Match],
 ) -> Result<FrontierSlot> {
-    if !raptor_storage::path_catalog_enabled() {
-        return Ok(FrontierSlot::Off);
-    }
     match PathFrontier::new(req, dict)? {
         Some(mut f) => {
             if let Some(blob) = pending.take() {

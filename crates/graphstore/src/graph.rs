@@ -11,7 +11,6 @@ use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::pool::Pool;
-use raptor_storage::{EntityClass, StoreStats};
 
 /// Node id (arena index).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -54,26 +53,9 @@ pub struct Graph {
     /// (node label, prop key) → string prop value → node ids. Built lazily
     /// via [`Graph::create_node_index`].
     value_index: FxHashMap<(Sym, Sym), FxHashMap<PropValue, Vec<NodeId>>>,
-    /// Data statistics, maintained incrementally by [`Graph::add_node`] /
-    /// [`Graph::add_edge`] and keyed by the backend-neutral table
-    /// vocabulary so they compare equal to the relational store's stats for
-    /// the same data. Served scan-free via `StorageBackend::stats`.
-    stats: StoreStats,
     /// Worker pool for fanning path search out per anchor node (see
     /// `cypher::exec`). One thread ⇒ the exact sequential code paths.
     pool: Pool,
-}
-
-/// Backend-neutral stats table for a node/edge label, plus the entity class
-/// when the label is one of the audit classes.
-fn stats_table_for_label(label: &str) -> (&str, Option<EntityClass>) {
-    match label {
-        "Process" => ("processes", Some(EntityClass::Process)),
-        "File" => ("files", Some(EntityClass::File)),
-        "NetConn" => ("netconns", Some(EntityClass::NetConn)),
-        "EVENT" => ("events", None),
-        other => (other, None),
-    }
 }
 
 /// A property being written (strings interned on the way in).
@@ -100,7 +82,6 @@ impl Graph {
     /// time so equal strings compare as equal symbols across stores.
     pub fn with_dict(dict: SharedDict) -> Self {
         Graph {
-            stats: StoreStats::new(dict.clone()),
             dict,
             nodes: Vec::new(),
             edges: Vec::new(),
@@ -114,12 +95,6 @@ impl Graph {
 
     pub fn dict(&self) -> &SharedDict {
         &self.dict
-    }
-
-    /// The incrementally-maintained data statistics (also reachable through
-    /// `StorageBackend::stats`).
-    pub fn store_stats(&self) -> &StoreStats {
-        &self.stats
     }
 
     /// The worker pool path search fans out on. Defaults to
@@ -171,17 +146,11 @@ impl Graph {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Interns a label and property list into the shared plane and records
-    /// one stats row from the interned values — the shared prefix of
-    /// [`Graph::add_node`] / [`Graph::add_edge`]. Interning happens first
-    /// so the frequency maps key on the dictionary with no second lookup.
-    fn intern_and_record(
-        &mut self,
-        label: &str,
-        props: &[(&str, PropIns<'_>)],
-    ) -> (Sym, Vec<(Sym, PropValue)>) {
-        let label_sym = self.dict.intern(label);
-        let interned: Vec<(Sym, PropValue)> = props
+    /// Interns a label and property list into the shared plane — the
+    /// shared prefix of [`Graph::add_node`] / [`Graph::add_edge`].
+    fn intern(&self, label: &str, props: &[(&str, PropIns<'_>)]) -> (Sym, Vec<(Sym, PropValue)>) {
+        let label = self.dict.intern(label);
+        let interned = props
             .iter()
             .map(|(k, v)| {
                 let key = self.dict.intern(k);
@@ -192,34 +161,11 @@ impl Graph {
                 (key, val)
             })
             .collect();
-        let (table, _) = stats_table_for_label(label);
-        let ts = self.stats.table_mut(table);
-        ts.record_row();
-        for ((k, _), (_, val)) in props.iter().zip(&interned) {
-            match val {
-                PropValue::Int(i) => ts.record_int(k, *i),
-                PropValue::Str(s) => ts.record_sym(k, *s),
-            }
-        }
-        (label_sym, interned)
+        (label, interned)
     }
 
     pub fn add_node(&mut self, label: &str, props: &[(&str, PropIns<'_>)]) -> NodeId {
-        let (label_sym, interned) = self.intern_and_record(label, props);
-        // Class/degree registration for audit entity labels (keyed by the
-        // `id` property, which the MutableBackend contract keeps equal to
-        // the arena node id).
-        if let (_, Some(class)) = stats_table_for_label(label) {
-            let id = props
-                .iter()
-                .find_map(|(k, v)| match (*k, v) {
-                    ("id", PropIns::Int(i)) => Some(*i),
-                    _ => None,
-                })
-                .unwrap_or(self.nodes.len() as i64);
-            self.stats.record_node(class, id);
-        }
-        let (label, props) = (label_sym, interned);
+        let (label, props) = self.intern(label, props);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { label, props });
         self.out.push(Vec::new());
@@ -245,24 +191,7 @@ impl Graph {
         if src.0 as usize >= self.nodes.len() || dst.0 as usize >= self.nodes.len() {
             return Err(Error::storage("edge endpoint does not exist"));
         }
-        let (label_sym, interned) = self.intern_and_record(label, props);
-        // Stats: EVENT edges mirror the relational `events` rows — the
-        // structural endpoints count as `subject`/`object` columns so both
-        // backends' stats compare equal (at the symbol level) for the same
-        // data.
-        if label == "EVENT" {
-            let (table, _) = stats_table_for_label(label);
-            let ts = self.stats.table_mut(table);
-            ts.record_int("subject", src.0 as i64);
-            ts.record_int("object", dst.0 as i64);
-            let optype_key = self.dict.intern("optype");
-            let op = interned.iter().find_map(|&(k, v)| match v {
-                PropValue::Str(s) if k == optype_key => Some(s),
-                _ => None,
-            });
-            self.stats.record_edge(src.0 as i64, dst.0 as i64, op);
-        }
-        let (label, props) = (label_sym, interned);
+        let (label, props) = self.intern(label, props);
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { src, dst, label, props });
         self.out[src.0 as usize].push(id);

@@ -82,8 +82,9 @@ pub struct Database {
     /// (see `exec`). One thread ⇒ the exact sequential code paths.
     pool: Pool,
     /// Data statistics, maintained incrementally by [`Database::insert`]
-    /// (every write path funnels through it) and served scan-free via
-    /// `StorageBackend::stats` and the planner's index selection.
+    /// (every write path funnels through it). The only copy the system
+    /// keeps: the planner's index selection, the engine's cardinality
+    /// estimator and the checkpoint's catalog digest all read it.
     stats: StoreStats,
 }
 
@@ -319,9 +320,9 @@ impl Database {
         self.text_parses.load(Ordering::Relaxed)
     }
 
-    /// The incrementally-maintained data statistics (also reachable through
-    /// `StorageBackend::stats`). The planner consults these for index
-    /// selection; the engine's cost-based scheduler for pattern ordering.
+    /// The incrementally-maintained data statistics and path catalog. The
+    /// planner consults these for index selection; the engine's cost-based
+    /// scheduler for pattern ordering.
     pub fn store_stats(&self) -> &StoreStats {
         &self.stats
     }

@@ -1,11 +1,12 @@
 //! The path cardinality catalog: exact bounded-length walk counts
 //! maintained incrementally below the [`crate::MutableBackend`] write seam.
 //!
-//! The degree-power path estimator (see `raptor-engine::estimate`) assumes
-//! every hop fans out by the store-wide mean degree, which wildly
-//! overestimates stores whose adjacency is *directional* (processes write
-//! files, files rarely point anywhere). This module replaces assumption
-//! with measurement, à la Pathce's pattern catalogs:
+//! A degree-power path estimate assumes every hop fans out by the
+//! store-wide mean degree, which wildly overestimates stores whose
+//! adjacency is *directional* (processes write files, files rarely point
+//! anywhere). This module replaces assumption with measurement, à la
+//! Pathce's pattern catalogs — `raptor-engine::estimate` costs every path
+//! pattern against it:
 //!
 //! * `walks(k, c, d)` — the **exact** number of length-`k` event-edge walks
 //!   from a class-`c` node to a class-`d` node, for `k ≤ `[`CATALOG_K`]
@@ -32,10 +33,10 @@
 //! counts diverge from anything a bounded path matcher returns, and
 //! excluding them keeps every update expressible from pre-insert state.
 //!
-//! The catalog rides [`crate::StoreStats`], so bulk load, streaming ingest
-//! and raw inserts produce identical catalogs by construction. The
-//! `RAPTOR_PATH_CATALOG=0` environment escape hatch disables maintenance
-//! (and with it decomposition estimates and frontier reuse downstream).
+//! The catalog rides [`crate::StoreStats`] — the relational store's, the
+//! only statistics bundle the system keeps — so bulk load, streaming
+//! ingest, raw inserts and checkpoint replay produce identical catalogs by
+//! construction.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
@@ -46,20 +47,12 @@ use crate::request::EntityClass;
 /// `walks(K)/walks(K-1)` ratio.
 pub const CATALOG_K: u32 = 3;
 
-/// `true` unless `RAPTOR_PATH_CATALOG=0` — the documented escape hatch that
-/// reverts the engine to degree-power estimates and full per-epoch path
-/// re-evaluation.
-pub fn path_catalog_enabled() -> bool {
-    std::env::var("RAPTOR_PATH_CATALOG").map_or(true, |v| v != "0")
-}
-
 type ClassCounts = FxHashMap<EntityClass, u64>;
 
 /// The incrementally-maintained path cardinality catalog. See the module
 /// docs for the exact quantities and the maintenance argument.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PathCatalog {
-    enabled: bool,
     /// Non-self-loop event edges, as (neighbour, neighbour-class) multisets.
     out_adj: FxHashMap<i64, Vec<(i64, EntityClass)>>,
     in_adj: FxHashMap<i64, Vec<(i64, EntityClass)>>,
@@ -79,46 +72,7 @@ pub struct PathCatalog {
     edges: u64,
 }
 
-impl Default for PathCatalog {
-    fn default() -> Self {
-        Self::new(path_catalog_enabled())
-    }
-}
-
 impl PathCatalog {
-    pub fn new(enabled: bool) -> Self {
-        PathCatalog {
-            enabled,
-            out_adj: FxHashMap::default(),
-            in_adj: FxHashMap::default(),
-            walks: Default::default(),
-            ends2: FxHashMap::default(),
-            starts2: FxHashMap::default(),
-            op_pairs: FxHashMap::default(),
-            distinct_src: FxHashMap::default(),
-            distinct_dst: FxHashMap::default(),
-            has_out: raptor_common::hash::FxHashSet::default(),
-            has_in: raptor_common::hash::FxHashSet::default(),
-            edges: 0,
-        }
-    }
-
-    /// Whether maintenance is on (the `RAPTOR_PATH_CATALOG` gate).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Warm means usable: enabled *and* at least one edge recorded. Cold
-    /// catalogs send the estimator to its degree-power fallback.
-    pub fn is_warm(&self) -> bool {
-        self.enabled && self.edges > 0
-    }
-
-    /// Total event edges recorded (self-loops included).
-    pub fn edge_count(&self) -> u64 {
-        self.edges
-    }
-
     /// Exact number of length-`k` walks from class `c` to class `d`
     /// (`0` for `k == 0` or `k > CATALOG_K`).
     pub fn walks(&self, k: u32, c: EntityClass, d: EntityClass) -> u64 {
@@ -155,9 +109,6 @@ impl PathCatalog {
     /// plane's node registry; edges whose endpoints were never registered
     /// are invisible to the catalog, matching the degree summaries).
     pub fn record_edge(&mut self, u: i64, v: i64, cu: EntityClass, cv: EntityClass, op: Sym) {
-        if !self.enabled {
-            return;
-        }
         self.edges += 1;
         *self.op_pairs.entry((cu, op, cv)).or_insert(0) += 1;
         *self.walks[0].entry((cu, cv)).or_insert(0) += 1;
@@ -256,7 +207,6 @@ impl PathCatalog {
             walks[k] = m.iter().map(|(&(c, d), &n)| ((name(c), name(d)), n)).collect();
         }
         CanonicalCatalog {
-            enabled: self.enabled,
             edges: self.edges,
             walks,
             op_pairs: self
@@ -285,7 +235,6 @@ impl PathCatalog {
 /// See [`PathCatalog::canonical`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CanonicalCatalog {
-    pub enabled: bool,
     pub edges: u64,
     pub walks: [std::collections::BTreeMap<(String, String), u64>; CATALOG_K as usize],
     pub op_pairs: std::collections::BTreeMap<(String, String, String), u64>,
@@ -305,7 +254,7 @@ mod tests {
     fn cat() -> (PathCatalog, Sym, SharedDict) {
         let dict = SharedDict::new();
         let op = dict.intern("read");
-        (PathCatalog::new(true), op, dict)
+        (PathCatalog::default(), op, dict)
     }
 
     /// Chain 0→1→2→3 (process→process→process→file): one walk per length.
@@ -346,7 +295,7 @@ mod tests {
             perms.push(perm.to_vec());
         }
         let build = |order: &[usize]| {
-            let mut c = PathCatalog::new(true);
+            let mut c = PathCatalog::default();
             for &i in order {
                 let (u, v) = edges[i];
                 c.record_edge(u, v, classes(u), classes(v), op);
@@ -382,18 +331,5 @@ mod tests {
         assert_eq!(c.op_pair_count(P, op, P), 2);
         // The loop still proves node 0 reaches and is reached.
         assert_eq!(c.reachable_pairs(P, P), 1);
-    }
-
-    /// The escape hatch: a disabled catalog records nothing and reports
-    /// cold, so downstream consumers fall back.
-    #[test]
-    fn disabled_catalog_stays_cold() {
-        let dict = SharedDict::new();
-        let op = dict.intern("read");
-        let mut c = PathCatalog::new(false);
-        c.record_edge(0, 1, P, F, op);
-        assert!(!c.is_warm());
-        assert_eq!(c.edge_count(), 0);
-        assert_eq!(c.walks(1, P, F), 0);
     }
 }

@@ -22,9 +22,11 @@
 //! * [`stats`] — the statistics plane: [`TableStats`]/[`ColumnStats`]
 //!   (row/distinct counts, top-k value frequencies, scaling equi-width
 //!   histograms) and per-class [`DegreeStats`], maintained incrementally on
-//!   the write path and served scan-free through
-//!   [`StorageBackend::stats`]. The engine's cost-based scheduler and the
-//!   relational planner's index selection both read from here.
+//!   the relational store's write path and served scan-free. The engine's
+//!   cost-based scheduler and the relational planner's index selection
+//!   both read this one copy.
+//! * [`catalog`] — the path cardinality catalog riding [`StoreStats`]:
+//!   exact bounded-length walk counts for path-pattern estimates.
 //!
 //! The SQL/Cypher text parsers remain the entry point for the giant-query
 //! baseline modes; this crate deliberately knows nothing about them.
@@ -36,7 +38,7 @@ pub mod stats;
 pub mod value;
 
 pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend, StorageBackend};
-pub use catalog::{path_catalog_enabled, CanonicalCatalog, PathCatalog, CATALOG_K};
+pub use catalog::{CanonicalCatalog, PathCatalog, CATALOG_K};
 pub use request::{CmpOp, EntityClass, EntitySel, EventPatternQuery, PathPatternQuery, Pred};
 pub use stats::{
     CanonicalStats, ColumnStats, DegreeStats, Histogram, MinMax, StoreStats, TableStats,

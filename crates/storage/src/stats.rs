@@ -1,5 +1,7 @@
-//! The statistics plane: incrementally-maintained data statistics both
-//! backends serve through [`crate::StorageBackend::stats`].
+//! The statistics plane: incrementally-maintained data statistics, kept
+//! once per session by the relational store (`Database::store_stats`) and
+//! read by its planner, the engine's cardinality estimator and the
+//! checkpoint's catalog digest.
 //!
 //! The paper's scheduler (Section III-F) scores TBQL patterns *syntactically*
 //! — it counts declared constraints, so `exename = '/usr/bin/gpg'` and
@@ -12,19 +14,18 @@
 //!   these), and a scaling equi-width [`Histogram`] for numeric/time
 //!   columns,
 //! * [`TableStats`] — row count plus its columns,
-//! * [`DegreeStats`] — per-entity-class adjacency summaries (node count,
-//!   out/in edge counts, max degrees) for degree-power path estimation à la
-//!   Pathce,
+//! * [`DegreeStats`] — per-entity-class node and out-edge counts, the class
+//!   sizes and mean-degree fallback of path estimation,
 //! * [`StoreStats`] — the whole bundle, keyed by the backend-neutral table
 //!   vocabulary (`files` / `processes` / `netconns` / `events`),
 //! * [`selectivity`] — estimated match fraction of a typed [`Pred`] against
 //!   a [`TableStats`].
 //!
-//! Everything is maintained **incrementally on the write path** (both
-//! backends record every [`crate::MutableBackend`]-style insert — in fact
-//! every physical insert, so bulk load and streaming ingest produce
-//! identical stats by construction) and served with **zero scans** at query
-//! time: accessors only read the maintained maps.
+//! Everything is maintained **incrementally on the write path** (the store
+//! records every physical insert, so bulk load, streaming ingest and
+//! checkpoint replay produce identical stats by construction) and served
+//! with **zero scans** at query time: accessors only read the maintained
+//! maps.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
@@ -215,10 +216,9 @@ impl Histogram {
     }
 }
 
-/// Incrementally-maintained statistics for one column/property. String
-/// frequencies are keyed by [`Sym`] into the shared dictionary plane —
-/// because both backends intern into the *same* dictionary, relational and
-/// graph statistics for the same data compare equal at the symbol level.
+/// Incrementally-maintained statistics for one column. String frequencies
+/// are keyed by [`Sym`] into the shared dictionary plane, so two stats
+/// bundles over one dictionary compare equal at the symbol level.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnStats {
     non_null: u64,
@@ -369,7 +369,7 @@ impl ColumnStats {
     }
 }
 
-/// Statistics for one table / node label.
+/// Statistics for one table.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TableStats {
     rows: u64,
@@ -415,45 +415,19 @@ impl TableStats {
     }
 }
 
-/// Per-entity-class adjacency summaries, the degree inputs of path-pattern
-/// cardinality estimation (Pathce-style degree-power expansion).
+/// Per-entity-class adjacency summary: the class sizes path estimation
+/// scales endpoint fractions by, and the out-edge totals behind its
+/// mean-degree fallback.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DegreeStats {
     /// Entities of this class.
     pub nodes: u64,
     /// Events whose subject is in this class.
     pub out_edges: u64,
-    /// Events whose object is in this class.
-    pub in_edges: u64,
-    /// Largest out-degree of any single entity in this class.
-    pub max_out: u64,
-    /// Largest in-degree of any single entity in this class.
-    pub max_in: u64,
 }
 
-impl DegreeStats {
-    pub fn avg_out(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.out_edges as f64 / self.nodes as f64
-        }
-    }
-
-    pub fn avg_in(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.in_edges as f64 / self.nodes as f64
-        }
-    }
-}
-
-/// All statistics one store maintains, served via
-/// [`crate::StorageBackend::stats`]. Keys use the backend-neutral table
-/// vocabulary ([`EntityClass::table_name`] plus `"events"`); each backend
-/// maps its physical names on the way in, so relational and graph stats for
-/// the same data are directly comparable (tests assert they are *equal*).
+/// All statistics the system maintains. Keys use the backend-neutral table
+/// vocabulary ([`EntityClass::table_name`] plus `"events"`).
 #[derive(Debug)]
 pub struct StoreStats {
     /// The shared dictionary plane the symbol-keyed frequencies resolve
@@ -462,8 +436,6 @@ pub struct StoreStats {
     tables: FxHashMap<String, TableStats>,
     degrees: FxHashMap<EntityClass, DegreeStats>,
     node_class: FxHashMap<i64, EntityClass>,
-    out_deg: FxHashMap<i64, u64>,
-    in_deg: FxHashMap<i64, u64>,
     catalog: PathCatalog,
 }
 
@@ -483,8 +455,6 @@ impl StoreStats {
             tables: FxHashMap::default(),
             degrees: FxHashMap::default(),
             node_class: FxHashMap::default(),
-            out_deg: FxHashMap::default(),
-            in_deg: FxHashMap::default(),
             catalog: PathCatalog::default(),
         }
     }
@@ -493,11 +463,6 @@ impl StoreStats {
     /// [`crate::catalog`]).
     pub fn catalog(&self) -> &PathCatalog {
         &self.catalog
-    }
-
-    /// Mutable catalog handle (tests toggle the gate without the env var).
-    pub fn catalog_mut(&mut self) -> &mut PathCatalog {
-        &mut self.catalog
     }
 
     /// The dictionary plane this bundle's symbols live in.
@@ -542,24 +507,10 @@ impl StoreStats {
     /// Registers one event edge `subject → object` carrying operation
     /// `op`, updating per-class degree summaries and the path catalog.
     pub fn record_edge(&mut self, subject: i64, object: i64, op: Option<Sym>) {
-        if let (Some(&cs), Some(&co), Some(op)) =
-            (self.node_class.get(&subject), self.node_class.get(&object), op)
-        {
+        let Some(&cs) = self.node_class.get(&subject) else { return };
+        self.degrees.entry(cs).or_default().out_edges += 1;
+        if let (Some(&co), Some(op)) = (self.node_class.get(&object), op) {
             self.catalog.record_edge(subject, object, cs, co, op);
-        }
-        if let Some(&c) = self.node_class.get(&subject) {
-            let deg = self.out_deg.entry(subject).or_insert(0);
-            *deg += 1;
-            let d = self.degrees.entry(c).or_default();
-            d.out_edges += 1;
-            d.max_out = d.max_out.max(*deg);
-        }
-        if let Some(&c) = self.node_class.get(&object) {
-            let deg = self.in_deg.entry(object).or_insert(0);
-            *deg += 1;
-            let d = self.degrees.entry(c).or_default();
-            d.in_edges += 1;
-            d.max_in = d.max_in.max(*deg);
         }
     }
 
@@ -583,21 +534,11 @@ impl StoreStats {
             .map_or(0, |c| c.freq(&Value::Str(sym)))
     }
 
-    /// Comparable view for tests: `(table → rows, class → degree)` without
-    /// the internal per-node maps.
-    pub fn summary(&self) -> Vec<(String, u64)> {
-        let mut rows: Vec<(String, u64)> =
-            self.tables.iter().map(|(n, t)| (n.clone(), t.rows)).collect();
-        rows.sort();
-        rows
-    }
-
     /// Dictionary-independent view: every symbol rendered, every map
     /// sorted. Two stores over **different** dictionaries built from the
     /// same data compare equal here (e.g. a stream-grown engine vs a
     /// bulk-loaded one, whose interning orders differ). Within one
-    /// dictionary plane, plain `==` compares at the symbol level and is
-    /// what the backends' equality assertion uses.
+    /// dictionary plane, plain `==` compares at the symbol level.
     pub fn canonical(&self) -> CanonicalStats {
         let tables = self
             .tables
@@ -655,7 +596,8 @@ struct CanonicalColumn {
 
 impl PartialEq for StoreStats {
     /// Equality over the *served* statistics (tables and degree summaries);
-    /// the per-node working maps are an implementation detail.
+    /// the node registry and the catalog's working maps are implementation
+    /// details.
     fn eq(&self, other: &Self) -> bool {
         self.tables == other.tables && self.degrees == other.degrees
     }
@@ -847,10 +789,10 @@ mod tests {
         s.record_edge(0, 2, Some(op));
         s.record_edge(1, 2, Some(op));
         let p = s.degree(EntityClass::Process).unwrap();
-        assert_eq!((p.nodes, p.out_edges, p.max_out), (2, 3, 2));
+        assert_eq!((p.nodes, p.out_edges), (2, 3));
         let f = s.degree(EntityClass::File).unwrap();
-        assert_eq!((f.nodes, f.in_edges, f.max_in), (1, 3, 3));
-        assert!((p.avg_out() - 1.5).abs() < 1e-9);
+        assert_eq!((f.nodes, f.out_edges), (1, 0));
+        assert_eq!(s.catalog().walks(1, EntityClass::Process, EntityClass::File), 3);
         assert_eq!(s.total_nodes(), 3);
         assert_eq!(s.total_edges(), 3);
     }

@@ -73,6 +73,11 @@ fn assert_recovered_equals_bulk(recovered: &DurableSession, bulk: &Engine, ctx: 
         bulk.stores.rel.store_stats().canonical(),
         "{ctx}: stats"
     );
+    assert_eq!(
+        eng.stores.rel.store_stats().catalog().canonical(&eng.stores.dict),
+        bulk.stores.rel.store_stats().catalog().canonical(&bulk.stores.dict),
+        "{ctx}: path catalog"
+    );
     for (i, q) in QUERIES.iter().enumerate() {
         let (want, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
         let (got, _) = eng.execute_text(q, ExecMode::Scheduled).unwrap();
@@ -278,81 +283,6 @@ fn facade_open_recovers_from_disk() {
     assert!(batch_sys.recovery_report().is_none());
     assert!(batch_sys.checkpoint().is_err());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A **version-1** checkpoint — written before the path catalog and
-/// frontier planes existed, so it carries no frontier state and no catalog
-/// digest — still restores cleanly end-to-end: recovery resumes at the
-/// checkpointed epoch, the path cardinality catalog is rebuilt from the
-/// replayed rows by construction (replay goes through the same write
-/// seam), standing-query frontiers rebuild lazily, and re-delivery
-/// converges to exactly the bulk-loaded store.
-#[test]
-fn v1_checkpoint_restores_and_rebuilds_catalog() {
-    use threatraptor::engine::checkpoint::{encode_versioned, SessionMeta, StandingSnap};
-    use threatraptor::stream::StreamSession;
-
-    let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
-    let built = raptor_cases::build_case(spec, 0.05, 1234);
-    let batches: Vec<_> = EpochStream::new(&built.log, EpochPolicy::ByCount(32)).collect();
-    let half = batches.len() / 2;
-    assert!(half > 0);
-
-    // Play a previous release: stream half the epochs through a plain
-    // session, then serialize its state at layout version 1.
-    let mut session = StreamSession::new().unwrap();
-    for (i, q) in QUERIES.iter().enumerate() {
-        session.register(&format!("q{i}"), q).unwrap();
-    }
-    let mut arrival = Vec::new();
-    for b in &batches[..half] {
-        let r = session.ingest_batch(b).unwrap();
-        arrival.push((r.entities_ingested as u64, r.events_ingested as u64));
-    }
-    let meta = SessionMeta {
-        epochs: half as u64,
-        now_ns: session.engine().stores.now_ns,
-        total_ingest: Default::default(),
-        arrival,
-    };
-    let snaps: Vec<StandingSnap<'_>> = session
-        .queries()
-        .iter()
-        .zip(QUERIES)
-        .map(|(q, text)| StandingSnap { name: q.name(), text, query: q })
-        .collect();
-    let v1 = encode_versioned(&session.engine().stores, &snaps, &meta, 1).unwrap();
-
-    // Recover from the v1 image and re-deliver the whole stream; dedupe
-    // skips the epochs the old release already committed.
-    let fs = Arc::new(MemFs::new());
-    fs.store(CKPT_FILE, v1);
-    let recovered =
-        drive(fs, &built.log, 32, DurablePolicy { checkpoint_every: 0 }, 1, 4096).unwrap();
-    let report = recovered.recovery_report();
-    assert!(report.checkpoint_found);
-    assert_eq!(report.checkpoint_epochs, half as u64);
-    assert_eq!(report.registrations_recovered, QUERIES.len() as u64);
-    assert_eq!(recovered.epochs() as usize, batches.len());
-
-    let mut bulk = Engine::new(load(&built.log).unwrap());
-    bulk.set_threads(1);
-    bulk.set_segment_rows(4096);
-    assert_recovered_equals_bulk(&recovered, &bulk, "v1 restore");
-    // The catalog was rebuilt purely from replayed + re-delivered rows
-    // (v1 images carry no digest to check it against) and still matches
-    // the bulk-loaded one on both backends.
-    let eng = recovered.engine();
-    for (name, got, want) in [
-        ("relational", eng.stores.rel.store_stats(), bulk.stores.rel.store_stats()),
-        ("graph", eng.stores.graph.store_stats(), bulk.stores.graph.store_stats()),
-    ] {
-        assert_eq!(
-            got.catalog().canonical(&eng.stores.dict),
-            want.catalog().canonical(&bulk.stores.dict),
-            "{name} catalog after v1 restore"
-        );
-    }
 }
 
 /// A damaged *checkpoint* is a typed error — unlike the WAL tail there is

@@ -88,15 +88,10 @@ proptest! {
         // The shared dictionary plane under interleaved/shuffled ingestion:
         // chunked inserts into *both* backends still build exactly one
         // dictionary, with identical sym↔string mappings observed from each
-        // store (and from the statistics plane they feed).
+        // store (and from the statistics plane).
         prop_assert!(streamed.stores.dict.ptr_eq(streamed.stores.rel.dict()));
         prop_assert!(streamed.stores.dict.ptr_eq(streamed.stores.graph.dict()));
-        prop_assert!(streamed
-            .stores
-            .rel
-            .store_stats()
-            .dict()
-            .ptr_eq(streamed.stores.graph.store_stats().dict()));
+        prop_assert!(streamed.stores.dict.ptr_eq(streamed.stores.rel.store_stats().dict()));
         for (sym, s) in streamed.stores.dict.iter() {
             prop_assert_eq!(streamed.stores.rel.dict().resolve(sym), s);
             prop_assert_eq!(streamed.stores.graph.dict().get(s), Some(sym));
@@ -105,11 +100,11 @@ proptest! {
 }
 
 /// The statistics plane stays fresh per epoch: stats are maintained on the
-/// shared write path, so after *every* ingested epoch the streamed stores'
+/// shared write path, so after *every* ingested epoch the streamed store's
 /// row counts match what has been ingested so far, and after the final
-/// epoch the full statistics (tables, columns, degree summaries) are
-/// identical to a bulk load's — on both backends, which also agree with
-/// each other.
+/// epoch the full statistics (tables, columns, degree summaries, path
+/// catalog) are identical to a bulk load's and account for every node and
+/// edge of the graph store.
 #[test]
 fn streamed_stats_match_bulk_and_stay_fresh() {
     let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
@@ -129,22 +124,21 @@ fn streamed_stats_match_bulk_and_stay_fresh() {
     }
     let bulk = Engine::new(load(&built.log).unwrap());
     let streamed = session.engine();
-    // Within one engine both backends intern into one dictionary plane, so
-    // their stats are equal at the *symbol* level.
-    assert_eq!(streamed.stores.rel.store_stats(), streamed.stores.graph.store_stats());
-    assert_eq!(bulk.stores.rel.store_stats(), bulk.stores.graph.store_stats());
-    // Across engines the dictionaries differ (stream epochs interleave
-    // entity/event interning; bulk loads all entities first), so compare
-    // the dictionary-independent canonical view.
+    // The dictionaries differ (stream epochs interleave entity/event
+    // interning; bulk loads all entities first), so compare the
+    // dictionary-independent canonical views.
+    let (s, b) = (streamed.stores.rel.store_stats(), bulk.stores.rel.store_stats());
+    assert_eq!(s.canonical(), b.canonical());
     assert_eq!(
-        streamed.stores.rel.store_stats().canonical(),
-        bulk.stores.rel.store_stats().canonical()
+        s.catalog().canonical(&streamed.stores.dict),
+        b.catalog().canonical(&bulk.stores.dict)
     );
-    assert_eq!(
-        streamed.stores.graph.store_stats().canonical(),
-        bulk.stores.graph.store_stats().canonical()
-    );
-    assert!(bulk.stores.rel.store_stats().event_op_freq("read") > 0);
+    for stores in [&streamed.stores, &bulk.stores] {
+        let stats = stores.rel.store_stats();
+        assert_eq!(stats.total_nodes(), stores.graph.node_count() as u64);
+        assert_eq!(stats.total_edges(), stores.graph.edge_count() as u64);
+    }
+    assert!(b.event_op_freq("read") > 0);
 }
 
 /// The acceptance invariant: continuous standing-query evaluation over the
