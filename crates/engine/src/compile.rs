@@ -16,6 +16,7 @@ use std::fmt::Write as _;
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
+use raptor_common::like::{like_shape, LikeShape};
 use raptor_common::time::Duration;
 use raptor_tbql::analyze::{APattern, AnalyzedQuery};
 use raptor_tbql::{
@@ -351,20 +352,17 @@ fn attr_to_cypher(var: &str, e: &AttrExpr) -> String {
     }
 }
 
-/// `%lit%` → CONTAINS, `%lit` → ENDS WITH, `lit%` → STARTS WITH; other
-/// wildcard shapes fall back to CONTAINS on the longest literal run.
+/// `%lit%` → CONTAINS, `%lit` → ENDS WITH, `lit%` → STARTS WITH; every
+/// other shape (`_`, several literal runs, no `%`) → the dialect's exact
+/// `LIKE`.
 fn str_pred_cypher(prop: &str, pattern: &str, negated: bool) -> String {
-    let inner = pattern.trim_matches('%');
-    let pred = if pattern.starts_with('%') && pattern.ends_with('%') && !inner.contains('%') {
-        format!("{prop} CONTAINS {}", cypher_str(inner))
-    } else if pattern.starts_with('%') && !inner.contains('%') {
-        format!("{prop} ENDS WITH {}", cypher_str(inner))
-    } else if pattern.ends_with('%') && !inner.contains('%') {
-        format!("{prop} STARTS WITH {}", cypher_str(inner))
-    } else {
-        let run = inner.split('%').max_by_key(|r| r.len()).unwrap_or("");
-        format!("{prop} CONTAINS {}", cypher_str(run))
+    let (op, needle) = match like_shape(pattern) {
+        LikeShape::Contains(lit) => ("CONTAINS", lit),
+        LikeShape::StartsWith(lit) => ("STARTS WITH", lit),
+        LikeShape::EndsWith(lit) => ("ENDS WITH", lit),
+        LikeShape::Pattern => ("LIKE", pattern),
     };
+    let pred = format!("{prop} {op} {}", cypher_str(needle));
     if negated {
         format!("NOT ({pred})")
     } else {
@@ -859,6 +857,15 @@ fn cypher_pattern_fragment_no_entity_filters(
 mod tests {
     use super::*;
     use raptor_tbql::{analyze, parse_tbql};
+
+    #[test]
+    fn like_shapes_lower_to_exact_cypher() {
+        assert_eq!(str_pred_cypher("f.name", "%tar%", false), "f.name CONTAINS 'tar'");
+        assert_eq!(str_pred_cypher("f.name", "/tmp/%", false), "f.name STARTS WITH '/tmp/'");
+        assert_eq!(str_pred_cypher("f.name", "%.gz", false), "f.name ENDS WITH '.gz'");
+        assert_eq!(str_pred_cypher("f.name", "%a_b%", false), "f.name LIKE '%a_b%'");
+        assert_eq!(str_pred_cypher("f.name", "%tar%gz%", true), "NOT (f.name LIKE '%tar%gz%')");
+    }
 
     fn ctx_for(text: &str) -> (AnalyzedQuery, i64) {
         let q = parse_tbql(text).unwrap();

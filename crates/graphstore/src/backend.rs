@@ -8,6 +8,7 @@
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashSet;
 use raptor_common::intern::SharedDict;
+use raptor_common::like::{like_shape, LikeShape};
 use raptor_common::obs;
 use raptor_storage::{
     AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue, MutableBackend,
@@ -54,23 +55,16 @@ fn prop(var: &str, attr: &str) -> PropRef {
     PropRef { var: var.to_string(), prop: attr.to_string() }
 }
 
-/// `%lit%` → CONTAINS, `%lit` → ENDS WITH, `lit%` → STARTS WITH; other
-/// wildcard shapes approximate with CONTAINS on the longest literal run
-/// (mirroring the text compiler's historical behavior).
+/// `%lit%` → CONTAINS, `%lit` → ENDS WITH, `lit%` → STARTS WITH; every
+/// other shape (`_`, several literal runs, no `%`) → an exact LIKE.
 fn like_to_cexpr(var: &str, attr: &str, pattern: &str, negated: bool) -> CExpr {
-    let inner = pattern.trim_matches('%');
-    let (kind, needle) =
-        if pattern.starts_with('%') && pattern.ends_with('%') && !inner.contains('%') {
-            (StrPredKind::Contains, inner.to_string())
-        } else if pattern.starts_with('%') && !inner.contains('%') {
-            (StrPredKind::EndsWith, inner.to_string())
-        } else if pattern.ends_with('%') && !inner.contains('%') {
-            (StrPredKind::StartsWith, inner.to_string())
-        } else {
-            let run = inner.split('%').max_by_key(|r| r.len()).unwrap_or("");
-            (StrPredKind::Contains, run.to_string())
-        };
-    let pred = CExpr::StrPred { left: prop(var, attr), kind, needle };
+    let (kind, needle) = match like_shape(pattern) {
+        LikeShape::Contains(lit) => (StrPredKind::Contains, lit),
+        LikeShape::StartsWith(lit) => (StrPredKind::StartsWith, lit),
+        LikeShape::EndsWith(lit) => (StrPredKind::EndsWith, lit),
+        LikeShape::Pattern => (StrPredKind::Like, pattern),
+    };
+    let pred = CExpr::StrPred { left: prop(var, attr), kind, needle: needle.to_string() };
     if negated {
         CExpr::Not(Box::new(pred))
     } else {
@@ -530,6 +524,29 @@ mod tests {
         assert_eq!(ids, vec![0]);
         assert_eq!(stats.data_queries, 1);
         assert_eq!(stats.text_parses, 0);
+    }
+
+    #[test]
+    fn like_lowering_is_exact_for_every_shape() {
+        let g = audit_graph();
+        let ids = |pattern: &str, negated: bool| {
+            let like = Pred::Like { attr: "exename".into(), pattern: pattern.into(), negated };
+            let mut stats = BackendStats::default();
+            g.entity_candidates(EntityClass::Process, &like, &mut stats).unwrap()
+        };
+        // The three plain shapes.
+        assert_eq!(ids("%bin%", false), vec![0, 1]);
+        assert_eq!(ids("/usr/%", false), vec![1]);
+        assert_eq!(ids("%tar", false), vec![0]);
+        // `_` is one character, not a literal underscore.
+        assert_eq!(ids("%u_r%", false), vec![1]);
+        // Every literal run counts, in order.
+        assert_eq!(ids("%bin%ta%", false), vec![0]);
+        assert_eq!(ids("%ta%bin%", false), Vec::<i64>::new());
+        // No `%` at all: the whole string must match.
+        assert_eq!(ids("/bin/ta", false), Vec::<i64>::new());
+        assert_eq!(ids("/bin/ta_", false), vec![0]);
+        assert_eq!(ids("%bin%ta%", true), vec![1]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub enum CExpr {
         op: COp,
         right: CmpRhs,
     },
-    /// `a.x CONTAINS 'lit'` / `STARTS WITH` / `ENDS WITH`
+    /// `a.x CONTAINS 'lit'` / `STARTS WITH` / `ENDS WITH` / `LIKE 'pat'`
     StrPred {
         left: PropRef,
         kind: StrPredKind,
@@ -99,6 +99,21 @@ pub enum StrPredKind {
     Contains,
     StartsWith,
     EndsWith,
+    /// SQL LIKE (`%` any run, `_` any one character) — a dialect extension
+    /// so TBQL filters of every shape lower exactly.
+    Like,
+}
+
+impl StrPredKind {
+    /// Whether string `s` satisfies the predicate with `needle`.
+    pub(crate) fn test(self, s: &str, needle: &str) -> bool {
+        match self {
+            StrPredKind::Contains => s.contains(needle),
+            StrPredKind::StartsWith => s.starts_with(needle),
+            StrPredKind::EndsWith => s.ends_with(needle),
+            StrPredKind::Like => raptor_common::like::like_match(needle, s),
+        }
+    }
 }
 
 impl CExpr {

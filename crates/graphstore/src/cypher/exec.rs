@@ -152,7 +152,8 @@ fn anchor_candidates(
             }
         }
         // 2. Indexed WHERE conjuncts on this variable (= / CONTAINS /
-        //    STARTS WITH / ENDS WITH against the distinct-value dictionary).
+        //    STARTS WITH / ENDS WITH / LIKE against the distinct-value
+        //    dictionary).
         for e in extra {
             match e {
                 CExpr::Cmp { left, op: COp::Eq, right: CmpRhs::Lit(lit) } => {
@@ -192,13 +193,7 @@ fn anchor_candidates(
                     if let Some(values) = g.indexed_values(label, &left.prop) {
                         let mut out = Vec::new();
                         for (sym, ids) in values {
-                            let s = g.dict().resolve(sym);
-                            let hit = match kind {
-                                StrPredKind::Contains => s.contains(needle.as_str()),
-                                StrPredKind::StartsWith => s.starts_with(needle.as_str()),
-                                StrPredKind::EndsWith => s.ends_with(needle.as_str()),
-                            };
-                            if hit {
+                            if kind.test(g.dict().resolve(sym), needle) {
                                 out.extend_from_slice(ids);
                             }
                         }
@@ -274,12 +269,7 @@ fn eval_where(g: &Graph, e: &CExpr, binding: &[BindVal], vars: &VarTable) -> boo
             let Some(PropValue::Str(sym)) = prop_value_of(g, binding[ls], &left.prop) else {
                 return false;
             };
-            let s = g.dict().resolve(sym);
-            match kind {
-                StrPredKind::Contains => s.contains(needle.as_str()),
-                StrPredKind::StartsWith => s.starts_with(needle.as_str()),
-                StrPredKind::EndsWith => s.ends_with(needle.as_str()),
-            }
+            kind.test(g.dict().resolve(sym), needle)
         }
         CExpr::InList { left, list } => {
             let Ok(ls) = vars.lookup(&left.var) else { return false };

@@ -15,6 +15,11 @@
 //! parts sharing variables, `WHERE` with `=`, `<>`, `<`, `<=`, `>`, `>=`,
 //! `CONTAINS`, `STARTS WITH`, `ENDS WITH`, `IN [..]`, `AND`/`OR`/`NOT`,
 //! `RETURN [DISTINCT] var.prop[, ...]`, `LIMIT n`.
+//!
+//! One extension over Neo4j: `var.prop LIKE 'pattern'` with SQL semantics
+//! (`%` any run, `_` any one character; the shared
+//! `raptor_common::like::like_match`). TBQL filters that are not a plain
+//! substring, prefix or suffix lower to it, so they match exactly.
 
 pub mod ast;
 pub mod exec;

@@ -241,6 +241,13 @@ impl Parser {
                 needle: self.string_lit()?,
             });
         }
+        if self.eat_keyword("LIKE") {
+            return Ok(CExpr::StrPred {
+                left,
+                kind: StrPredKind::Like,
+                needle: self.string_lit()?,
+            });
+        }
         if self.eat_keyword("IN") {
             self.expect_symbol("[")?;
             let mut list = Vec::new();
@@ -326,6 +333,7 @@ fn is_reserved(upper: &str) -> bool {
             | "CONTAINS"
             | "STARTS"
             | "ENDS"
+            | "LIKE"
             | "WITH"
             | "IN"
     )
@@ -414,6 +422,20 @@ mod tests {
         // A bare node with no relationship is a valid path.
         let q = q.unwrap();
         assert!(q.paths[0].segments.is_empty());
+    }
+
+    #[test]
+    fn like_predicate() {
+        let q = parse_cypher("MATCH (p:Process) WHERE p.exename LIKE '%bin%ta_' RETURN p.exename")
+            .unwrap();
+        assert_eq!(
+            q.where_clause,
+            Some(CExpr::StrPred {
+                left: PropRef { var: "p".into(), prop: "exename".into() },
+                kind: StrPredKind::Like,
+                needle: "%bin%ta_".into(),
+            })
+        );
     }
 
     #[test]

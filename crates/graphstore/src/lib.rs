@@ -10,8 +10,8 @@
 //! * [`cypher`] — lexer, AST, parser and executor for the Cypher subset the
 //!   compiled queries need: `MATCH` with fixed and variable-length
 //!   (`[:EVENT*2..4]`) relationship patterns, property maps, `WHERE` with
-//!   comparisons / `CONTAINS` / `STARTS WITH` / `ENDS WITH` / `IN`,
-//!   `RETURN [DISTINCT]`, `LIMIT`.
+//!   comparisons / `CONTAINS` / `STARTS WITH` / `ENDS WITH` / `IN`, plus a
+//!   SQL-style `LIKE` extension, `RETURN [DISTINCT]`, `LIMIT`.
 //!
 //! Deviation from Neo4j worth knowing: relationship uniqueness is enforced
 //! *within* each variable-length segment (preventing cycles from looping

@@ -9,12 +9,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
-use raptor_common::intern::SharedDict;
+use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::pool::Pool;
 use raptor_storage::{EntityClass, StoreStats, ValueColumn};
 
 use crate::exec::{execute, ExecStats};
 use crate::index::{BTreeIndex, HashIndex, TrigramIndex};
+use crate::like::{containment_literal, like_match};
 use crate::plan::{plan_select, SchemaProvider};
 use crate::schema::TableSchema;
 use crate::sql::parse_select;
@@ -174,6 +175,21 @@ impl Database {
 
     pub(crate) fn trigram_index(&self, table: &str, col: &str) -> Option<&TrigramIndex> {
         self.trigram_indexes.get(&(table.to_string(), col.to_string()))
+    }
+
+    /// The symbols of `table.col` matching the LIKE `pattern`, verified:
+    /// the rarest trigram of the pattern's containment literal lists the
+    /// candidates, and each is checked against the full pattern. The
+    /// trigram index holds every symbol of the column, so the set is the
+    /// column's whole matching domain. `None` unless the column carries
+    /// both a trigram and a hash index (the pair that serves LIKE) and the
+    /// pattern has a literal run of at least one trigram.
+    pub fn like_symbols(&self, table: &str, col: &str, pattern: &str) -> Option<Vec<Sym>> {
+        let lit = containment_literal(pattern)?;
+        let tri = self.trigram_index(table, col)?;
+        self.hash_index(table, col)?;
+        let dict = &self.dict;
+        Some(tri.candidates(lit, dict)?.filter(|&s| like_match(pattern, dict.resolve(s))).collect())
     }
 
     /// Creates an empty table.

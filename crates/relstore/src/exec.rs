@@ -8,8 +8,16 @@
 //!
 //! Scans pick the cheapest applicable access path per pushed-down conjunct:
 //! hash-index point/IN lookups, B-tree ranges for integer comparisons,
-//! trigram candidate pruning for `LIKE '%lit%'`. Every path re-verifies the
-//! full predicate, so index choice is purely a performance decision.
+//! trigram candidates for `LIKE`. Every path re-verifies the full
+//! predicate, so index choice is purely a performance decision.
+//!
+//! **LIKE** conjuncts are matched against the column's dictionary once per
+//! scan: the pattern's longest literal run picks the rarest trigram's
+//! posting list, each listed symbol is verified by substring search and
+//! then by the full pattern, and that one verified symbol set both prices
+//! the conjunct (summed tracked frequencies, exactly what
+//! `ColumnStats::like_fraction` would compute) and, if chosen, fans out to
+//! rows through the hash index.
 //!
 //! **Vectorized scans** (the columnar storage plane): a pushed-down
 //! predicate is compiled once per scan into a `ScanPred` — `IN` lists
@@ -38,7 +46,7 @@ use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::obs;
 
 use crate::db::Database;
-use crate::like::{containment_literal, like_match};
+use crate::like::like_match;
 use crate::plan::{QueryPlan, ScanPlan};
 use crate::sql::ast::{CmpOp, ColRef, Expr, Literal, Projection};
 use crate::table::{RowId, Table};
@@ -638,8 +646,14 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
 
 /// Chooses an index access path for one pushed-down conjunct, if possible.
 /// Returns candidate row ids (a superset of matches among which the full
-/// predicate is re-verified), or `None` if no index applies.
-fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<RowId>> {
+/// predicate is re-verified), or `None` if no index applies. `like` is the
+/// conjunct's [`Database::like_symbols`].
+fn access_path(
+    db: &Database,
+    scan: &ScanPlan,
+    conjunct: &Expr,
+    like: Option<&[Sym]>,
+) -> Option<Vec<RowId>> {
     match conjunct {
         Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
             let idx = db.hash_index(&scan.table, &col.column)?;
@@ -684,20 +698,14 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
             };
             Some(idx.range(lo, hi))
         }
-        Expr::Like { col, pattern, negated: false } => {
-            let lit = containment_literal(pattern)?;
-            let tri = db.trigram_index(&scan.table, &col.column)?;
-            let candidates = tri.candidates(&lit)?;
-            // Verify the LIKE on the (small) dictionary, then fan out to rows.
+        Expr::Like { col, negated: false, .. } => {
+            // Fan the verified symbols out to rows (disjoint per symbol).
             let hash = db.hash_index(&scan.table, &col.column)?;
             let mut rows = Vec::new();
-            for sym in candidates {
-                if like_match(pattern, db.dict().resolve(sym)) {
-                    rows.extend_from_slice(hash.get(Value::Str(sym)));
-                }
+            for &sym in like? {
+                rows.extend_from_slice(hash.get(Value::Str(sym)));
             }
             rows.sort_unstable();
-            rows.dedup();
             Some(rows)
         }
         _ => None,
@@ -707,12 +715,14 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
 /// Estimated candidate-row count for one indexable conjunct, read from the
 /// table's maintained statistics. `Some` exactly when an applicable index
 /// exists for the conjunct's shape (mirrors [`access_path`]); the planner
-/// materializes only the cheapest estimate instead of every path.
+/// materializes only the cheapest estimate instead of every path. `like`
+/// is the conjunct's [`Database::like_symbols`].
 fn conjunct_estimate(
     db: &Database,
     scan: &ScanPlan,
     ts: &raptor_storage::TableStats,
     conjunct: &Expr,
+    like: Option<&[Sym]>,
 ) -> Option<f64> {
     let rows = ts.rows() as f64;
     // A column with no recorded non-null values matches no equality/range.
@@ -748,11 +758,9 @@ fn conjunct_estimate(
             db.btree_index(&scan.table, &col.column)?;
             Some(col_frac(col, &|c| c.cmp_fraction(storage_cmp(*op), *i)) * rows)
         }
-        Expr::Like { col, pattern, negated: false } => {
-            containment_literal(pattern)?;
-            db.trigram_index(&scan.table, &col.column)?;
-            db.hash_index(&scan.table, &col.column)?;
-            Some(col_frac(col, &|c| c.like_fraction(pattern, db.dict())) * rows)
+        Expr::Like { col, negated: false, .. } => {
+            let syms = like?;
+            Some(col_frac(col, &|c| c.like_fraction_of(syms)) * rows)
         }
         _ => None,
     }
@@ -803,20 +811,34 @@ fn run_scan(db: &Database, scan: &ScanPlan, stats: &mut ExecStats) -> Result<Vec
     let dict = db.dict();
 
     let conjuncts = pred.clone().conjuncts();
+    // Each LIKE conjunct's verified symbol set, computed once: it prices
+    // the conjunct and, if chosen, is its access path.
+    let likes: Vec<Option<Vec<Sym>>> = conjuncts
+        .iter()
+        .map(|c| match c {
+            Expr::Like { col, pattern, negated: false } => {
+                db.like_symbols(&scan.table, &col.column, pattern)
+            }
+            _ => None,
+        })
+        .collect();
+    let path = |i: usize| access_path(db, scan, &conjuncts[i], likes[i].as_deref());
     let cheapest = db.store_stats().table(&scan.table).and_then(|ts| {
         conjuncts
             .iter()
             .enumerate()
-            .filter_map(|(i, c)| conjunct_estimate(db, scan, ts, c).map(|e| (i, e)))
+            .filter_map(|(i, c)| {
+                conjunct_estimate(db, scan, ts, c, likes[i].as_deref()).map(|e| (i, e))
+            })
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
     });
-    let best = match cheapest.and_then(|(i, _)| access_path(db, scan, &conjuncts[i])) {
+    let best = match cheapest.and_then(|(i, _)| path(i)) {
         Some(rows) => Some(rows),
         None => {
             // Fallback: try every conjunct, keep the smallest set.
             let mut best: Option<Vec<RowId>> = None;
-            for conjunct in &conjuncts {
-                if let Some(rows) = access_path(db, scan, conjunct) {
+            for i in 0..conjuncts.len() {
+                if let Some(rows) = path(i) {
                     if best.as_ref().is_none_or(|b| rows.len() < b.len()) {
                         best = Some(rows);
                     }

@@ -7,10 +7,11 @@
 //! * [`HashIndex`] — equality lookups (`col = v`, `col IN (...)`, and the
 //!   scheduler's injected `IN` filters),
 //! * [`BTreeIndex`] — range scans over integer/time columns (TBQL windows),
-//! * [`TrigramIndex`] — `LIKE '%lit%'` acceleration: maps character trigrams
-//!   of *dictionary strings* to the interned symbols containing them, so a
-//!   containment predicate first intersects posting lists over the (small)
-//!   dictionary, then fans out to rows via the hash index.
+//! * [`TrigramIndex`] — `LIKE` acceleration: maps byte trigrams of
+//!   *dictionary strings* to the interned symbols containing them, so a
+//!   pattern's containment literal is first resolved against the rarest
+//!   trigram's posting list over the (small) dictionary, then fans out to
+//!   rows via the hash index.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
@@ -69,9 +70,9 @@ fn trigrams(s: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
 /// Trigram index over the string dictionary.
 ///
 /// Maintained per *column*: `add_sym` is called for every distinct symbol
-/// that appears in the column. Candidate lookup intersects the posting lists
-/// of the needle's trigrams; callers must still verify candidates (trigram
-/// containment is necessary, not sufficient).
+/// that appears in the column, so the index holds the column's whole
+/// string domain. Candidate lookup returns exactly the symbols containing
+/// the needle; callers verify the full LIKE pattern on top.
 #[derive(Debug, Default)]
 pub struct TrigramIndex {
     postings: FxHashMap<[u8; 3], Vec<Sym>>,
@@ -92,32 +93,26 @@ impl TrigramIndex {
         }
     }
 
-    /// Symbols whose strings *may* contain `needle` (needle must be ≥ 3
-    /// bytes; shorter needles return `None` = cannot prune).
-    pub fn candidates(&self, needle: &str) -> Option<Vec<Sym>> {
+    /// Symbols whose strings contain `needle`, in insertion order (needle
+    /// must be ≥ 3 bytes; shorter needles return `None` = cannot prune).
+    ///
+    /// Walks only the shortest posting list of the needle's trigrams and
+    /// verifies each symbol by substring search, so the cost is bounded by
+    /// the rarest trigram rather than by the column's distinct values.
+    pub fn candidates<'a>(
+        &'a self,
+        needle: &'a str,
+        dict: &'a SharedDict,
+    ) -> Option<impl Iterator<Item = Sym> + 'a> {
         if needle.len() < 3 {
             return None;
         }
-        // Intersect posting lists, smallest first.
-        let mut lists: Vec<&Vec<Sym>> = Vec::new();
-        for g in trigrams(needle) {
-            match self.postings.get(&g) {
-                Some(l) => lists.push(l),
-                None => return Some(Vec::new()), // a trigram nobody has
-            }
-        }
-        lists.sort_by_key(|l| l.len());
-        let mut result: raptor_common::FxHashSet<Sym> = lists[0].iter().copied().collect();
-        for l in &lists[1..] {
-            if result.is_empty() {
-                break;
-            }
-            let set: raptor_common::FxHashSet<Sym> = l.iter().copied().collect();
-            result.retain(|s| set.contains(s));
-        }
-        let mut v: Vec<Sym> = result.into_iter().collect();
-        v.sort();
-        Some(v)
+        // A trigram nobody has yields an empty list: nothing matches.
+        let list = trigrams(needle)
+            .map(|g| self.postings.get(&g).map_or(&[][..], Vec::as_slice))
+            .min_by_key(|l| l.len())
+            .unwrap_or(&[]);
+        Some(list.iter().copied().filter(move |&s| dict.resolve(s).contains(needle)))
     }
 
     pub fn indexed_count(&self) -> usize {
@@ -169,14 +164,14 @@ mod tests {
         for &s in &syms {
             idx.add_sym(s, &dict);
         }
-        let cands = idx.candidates("tar").unwrap();
+        let cands: Vec<Sym> = idx.candidates("tar", &dict).unwrap().collect();
         // Everything containing "tar" must be among the candidates.
         for (i, s) in strings.iter().enumerate() {
             if s.contains("tar") {
                 assert!(cands.contains(&syms[i]), "{s} missing");
             }
         }
-        // Nothing without the trigrams sneaks in for this needle.
+        // Nothing without the needle sneaks in.
         for &c in &cands {
             assert!(dict.resolve(c).contains("tar"));
         }
@@ -187,7 +182,7 @@ mod tests {
         let dict = SharedDict::new();
         let mut idx = TrigramIndex::default();
         idx.add_sym(dict.intern("abc"), &dict);
-        assert_eq!(idx.candidates("ab"), None);
+        assert!(idx.candidates("ab", &dict).is_none());
     }
 
     #[test]
@@ -195,7 +190,11 @@ mod tests {
         let dict = SharedDict::new();
         let mut idx = TrigramIndex::default();
         idx.add_sym(dict.intern("/bin/tar"), &dict);
-        assert_eq!(idx.candidates("zzzz").unwrap(), Vec::<Sym>::new());
+        assert_eq!(idx.candidates("zzzz", &dict).unwrap().count(), 0);
+        // Every trigram present, but in different strings: verified away.
+        idx.add_sym(dict.intern("xabcy"), &dict);
+        idx.add_sym(dict.intern("zbcdz"), &dict);
+        assert_eq!(idx.candidates("abcd", &dict).unwrap().count(), 0);
     }
 
     #[test]
@@ -206,6 +205,6 @@ mod tests {
         idx.add_sym(s, &dict);
         idx.add_sym(s, &dict);
         assert_eq!(idx.indexed_count(), 1);
-        assert_eq!(idx.candidates("/bin/tar").unwrap(), vec![s]);
+        assert_eq!(idx.candidates("/bin/tar", &dict).unwrap().collect::<Vec<_>>(), vec![s]);
     }
 }

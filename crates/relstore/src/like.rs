@@ -7,28 +7,17 @@
 
 pub use raptor_common::like::like_match;
 
-/// The longest literal (wildcard-free) run in a LIKE pattern, used as a
-/// necessary-substring filter: any match of the pattern must contain this
-/// run *if* the run is bracketed by `%` on both sides (the common
-/// `%literal%` shape compiled from TBQL). Returns `None` when no usable run
-/// exists (pattern too short or not `%`-bracketed).
-pub fn containment_literal(pattern: &str) -> Option<String> {
-    // Only the simple shapes are accelerated: %lit%, %lit, lit%.
-    if pattern.contains('_') {
-        return None;
-    }
-    let runs: Vec<&str> = pattern.split('%').filter(|r| !r.is_empty()).collect();
-    if runs.len() != 1 {
-        return None;
-    }
-    let run = runs[0];
-    if run.len() < 3 {
-        // Shorter than one trigram: the index cannot help.
-        return None;
-    }
-    // If the pattern has no leading %, matches must start with the run; the
-    // trigram filter (containment) is still sound, just less tight.
-    Some(run.to_string())
+/// The longest literal (wildcard-free) run in a LIKE pattern — the text
+/// between `%` and `_` wildcards — used as a necessary-substring filter:
+/// every text matching the pattern contains each of its literal runs
+/// verbatim, whatever the anchoring. Returns `None` when the longest run
+/// is shorter than one trigram (the index cannot help).
+pub fn containment_literal(pattern: &str) -> Option<&str> {
+    let longest =
+        pattern
+            .split(['%', '_'])
+            .fold("", |best, run| if run.len() > best.len() { run } else { best });
+    (longest.len() >= 3).then_some(longest)
 }
 
 #[cfg(test)]
@@ -37,14 +26,20 @@ mod tests {
 
     #[test]
     fn literal_extraction() {
-        assert_eq!(containment_literal("%/bin/tar%"), Some("/bin/tar".into()));
-        assert_eq!(containment_literal("%curl%"), Some("curl".into()));
-        assert_eq!(containment_literal("/tmp/%"), Some("/tmp/".into()));
-        // Two runs: not accelerated.
-        assert_eq!(containment_literal("%a%bcd%"), None);
-        // Underscore: not accelerated.
-        assert_eq!(containment_literal("%ab_d%"), None);
+        assert_eq!(containment_literal("%/bin/tar%"), Some("/bin/tar"));
+        assert_eq!(containment_literal("%curl%"), Some("curl"));
+        assert_eq!(containment_literal("/tmp/%"), Some("/tmp/"));
+        // Several runs: the longest one (the first of equal lengths).
+        assert_eq!(containment_literal("%a%bcd%"), Some("bcd"));
+        assert_eq!(containment_literal("%tar%gz%"), Some("tar"));
+        // Underscores split runs like `%` does.
+        assert_eq!(containment_literal("%ab_def%"), Some("def"));
+        assert_eq!(
+            containment_literal("%/home/admin/executable_attach%"),
+            Some("/home/admin/executable")
+        );
         // Too short for a trigram.
+        assert_eq!(containment_literal("%ab_d%"), None);
         assert_eq!(containment_literal("%ab%"), None);
         assert_eq!(containment_literal("%%"), None);
     }
@@ -52,11 +47,16 @@ mod tests {
     #[test]
     fn extraction_is_sound() {
         // Every text matching the pattern must contain the literal.
-        let cases = [("%/etc/passwd%", "/etc/passwd"), ("%upload%", "xx upload yy")];
+        let cases = [
+            ("%/etc/passwd%", "/etc/passwd"),
+            ("%upload%", "xx upload yy"),
+            ("%tar%gz%", "/tmp/x.tar.gz"),
+            ("%/home/admin/executable_attach%", "/home/admin/executable.attach"),
+        ];
         for (pat, text) in cases {
             assert!(like_match(pat, text));
             let lit = containment_literal(pat).unwrap();
-            assert!(text.contains(&lit));
+            assert!(text.contains(lit));
         }
     }
 }

@@ -1,10 +1,31 @@
 //! Property-based tests: LIKE semantics vs a reference matcher, index paths
-//! vs full scans, and executor correctness against a naive evaluator.
+//! and index-driven estimates vs full scans, and executor correctness
+//! against a naive evaluator.
 
 use proptest::prelude::*;
 use raptor_relstore::db::Ins;
 use raptor_relstore::like::{containment_literal, like_match};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
+use raptor_storage::stats::MCV_TRACK_CAP;
+
+/// A `files(id, name)` table, optionally with the hash + trigram index pair
+/// that serves LIKE on `name`.
+fn files_db(names: &[String], indexed: bool) -> Database {
+    let mut db = Database::new();
+    db.create_table(TableSchema::new(
+        "files",
+        vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("name", ColumnType::Str)],
+    ))
+    .unwrap();
+    if indexed {
+        db.create_hash_index("files", "name").unwrap();
+        db.create_trigram_index("files", "name").unwrap();
+    }
+    for (i, n) in names.iter().enumerate() {
+        db.insert("files", &[Ins::Int(i as i64), Ins::Str(n)]).unwrap();
+    }
+    db
+}
 
 /// Reference LIKE via dynamic programming (independent implementation).
 fn like_reference(pattern: &str, text: &str) -> bool {
@@ -28,49 +49,45 @@ fn like_reference(pattern: &str, text: &str) -> bool {
 }
 
 proptest! {
-    /// The iterative matcher agrees with the DP reference on random
-    /// pattern/text pairs over a small alphabet (wildcards included).
+    /// The matcher agrees with the DP reference on random pattern/text
+    /// pairs; both sides draw wildcards and a multibyte character, so a
+    /// `%` or `_` in the text must stay a literal and `_` must span `é`.
     #[test]
-    fn like_matches_reference(pattern in "[ab%_]{0,10}", text in "[ab]{0,10}") {
+    fn like_matches_reference(pattern in "[ab%_é]{0,10}", text in "[ab%_é]{0,10}") {
         prop_assert_eq!(like_match(&pattern, &text), like_reference(&pattern, &text));
     }
 
     /// Any extracted containment literal is truly necessary: texts matching
-    /// the pattern always contain the literal.
+    /// the pattern always contain the literal — `%lit%`, `_`-bearing and
+    /// several-run patterns alike.
     #[test]
-    fn containment_literal_is_sound(pattern in "%[abc]{3,8}%", text in "[abc]{0,16}") {
+    fn containment_literal_is_sound(
+        pattern in "[%_]{0,1}[abc]{1,5}[%_]{1,2}[abc]{0,5}[%_]{0,1}[abc]{0,4}",
+        text in "[abc]{0,16}",
+    ) {
         if let Some(lit) = containment_literal(&pattern) {
             if like_match(&pattern, &text) {
-                prop_assert!(text.contains(&lit));
+                prop_assert!(text.contains(lit));
             }
         }
     }
 
-    /// Index-accelerated LIKE returns exactly the same rows as a full scan.
+    /// Index-accelerated LIKE returns exactly the same rows as a full scan,
+    /// for `%lit%`, `_`-bearing and several-run patterns.
     #[test]
     fn trigram_path_equals_full_scan(
         names in proptest::collection::vec("[a-d/]{1,12}", 1..60),
-        needle in "[a-d/]{3,6}",
+        pattern in "[%_]{0,1}[a-d/]{3,6}[%_]{0,2}[a-d/]{0,3}[%_]{0,1}",
     ) {
-        let mut plain = Database::new();
-        let mut indexed = Database::new();
-        for db in [&mut plain, &mut indexed] {
-            db.create_table(TableSchema::new(
-                "files",
-                vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("name", ColumnType::Str)],
-            )).unwrap();
-        }
-        indexed.create_hash_index("files", "name").unwrap();
-        indexed.create_trigram_index("files", "name").unwrap();
-        for (i, n) in names.iter().enumerate() {
-            plain.insert("files", &[Ins::Int(i as i64), Ins::Str(n)]).unwrap();
-            indexed.insert("files", &[Ins::Int(i as i64), Ins::Str(n)]).unwrap();
-        }
-        let sql = format!("SELECT id FROM files WHERE name LIKE '%{needle}%' ORDER BY id");
+        let plain = files_db(&names, false);
+        let indexed = files_db(&names, true);
+        let sql = format!("SELECT id FROM files WHERE name LIKE '{pattern}' ORDER BY id");
         let a = plain.query(&sql).unwrap();
         let b = indexed.query(&sql).unwrap();
         prop_assert_eq!(a.rows(), b.rows());
-        prop_assert!(b.stats.index_scans >= 1 || b.stats.full_scans >= 1);
+        prop_assert_eq!(a.stats.full_scans, 1);
+        // Every generated pattern has a literal run of ≥ 3 bytes.
+        prop_assert_eq!((b.stats.index_scans, b.stats.full_scans), (1, 0));
     }
 
     /// Hash-index equality returns exactly the rows a scan-and-filter finds.
@@ -138,5 +155,38 @@ proptest! {
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
             .collect();
         prop_assert_eq!(got_pairs, want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The index-driven LIKE estimate — tracked frequencies summed over the
+    /// verified symbol set — equals `ColumnStats::like_fraction`'s pass over
+    /// every tracked value bit for bit, also once the column outgrows the
+    /// tracking cap and the untracked tail term contributes.
+    #[test]
+    fn like_estimate_from_symbols_equals_like_fraction(
+        names in proptest::collection::vec("[a-c/_%]{1,10}", 1..60),
+        overflow in proptest::bool::ANY,
+        pattern in "[%_]{0,1}[a-c/]{3,5}[%_]{0,2}[a-c/]{0,3}[%_]{0,1}",
+    ) {
+        let mut names = names;
+        if overflow {
+            // Distinct values past the cap, each carrying a generated name,
+            // so matching values land in the tracked set and in the tail.
+            let tail: Vec<String> = (0..MCV_TRACK_CAP + 64)
+                .map(|i| format!("{}{i}", names[i % names.len()]))
+                .collect();
+            names.splice(0..0, tail);
+        }
+        let db = files_db(&names, true);
+        let col = db.store_stats().table("files").unwrap().column("name").unwrap();
+        prop_assert_eq!(col.distinct() > MCV_TRACK_CAP as u64, overflow);
+        let syms = db.like_symbols("files", "name", &pattern).unwrap();
+        prop_assert_eq!(
+            col.like_fraction_of(&syms).to_bits(),
+            col.like_fraction(&pattern, db.dict()).to_bits()
+        );
     }
 }

@@ -312,17 +312,32 @@ impl ColumnStats {
     /// Estimated fraction of rows whose string value matches a LIKE
     /// `pattern`. Tracked values are matched exactly (weighted by their
     /// frequencies, resolved through the dictionary); the untracked tail
-    /// contributes a flat default.
+    /// contributes a flat default. O(tracked values): callers holding the
+    /// column's matching symbols use [`ColumnStats::like_fraction_of`].
     pub fn like_fraction(&self, pattern: &str, dict: &SharedDict) -> f64 {
-        if self.non_null == 0 {
-            return 0.0;
-        }
-        let matched: u64 = self
+        let matched = self
             .strs
             .iter()
             .filter(|(v, _)| like_match(pattern, dict.resolve(**v)))
             .map(|(_, c)| c)
             .sum();
+        self.like_fraction_inner(matched)
+    }
+
+    /// [`ColumnStats::like_fraction`] from the pattern's matching symbols
+    /// (e.g. verified trigram-index candidates): the tracked frequencies
+    /// of `matching` plus the same tail term. Bit-identical to
+    /// `like_fraction` whenever `matching` holds every matching symbol of
+    /// the column, at O(|matching|) instead of O(tracked values).
+    pub fn like_fraction_of(&self, matching: &[Sym]) -> f64 {
+        let matched = matching.iter().filter_map(|s| self.strs.get(s)).sum();
+        self.like_fraction_inner(matched)
+    }
+
+    fn like_fraction_inner(&self, matched: u64) -> f64 {
+        if self.non_null == 0 {
+            return 0.0;
+        }
         let tail = self.other as f64 * LIKE_TAIL_FRACTION;
         ((matched as f64 + tail) / self.non_null as f64).clamp(0.0, 1.0)
     }
@@ -742,6 +757,10 @@ mod tests {
         assert!((c.like_fraction("%upload%", &dict) - 0.5).abs() < 1e-9);
         assert!((c.like_fraction("%", &dict) - 1.0).abs() < 1e-9);
         assert_eq!(c.like_fraction("%absent%", &dict), 0.0);
+        let upload: Vec<Sym> =
+            ["/tmp/upload.tar", "/tmp/upload.tar.bz2"].iter().map(|s| dict.intern(s)).collect();
+        assert_eq!(c.like_fraction_of(&upload), c.like_fraction("%upload%", &dict));
+        assert_eq!(c.like_fraction_of(&[]), 0.0);
     }
 
     #[test]

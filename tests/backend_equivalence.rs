@@ -234,6 +234,49 @@ fn negative_queries_empty_everywhere() {
     }
 }
 
+/// LIKE shapes beyond `%lit%` / `lit%` / `%lit` — a `_` wildcard, several
+/// literal runs — keep true LIKE semantics on every backend. The file names
+/// tell the semantics apart: `_` read as a literal underscore, or a
+/// `CONTAINS` on the longest run, would return a different set.
+#[test]
+fn wildcard_shapes_agree_across_backends() {
+    let mut sim = Simulator::new(7, Timestamp::from_secs(1_500_000_000));
+    let shell = sim.boot_process("/bin/bash", "root");
+    let tar = sim.spawn(shell, "/bin/tar", "tar");
+    let names = [
+        "/tmp/a_b.log",
+        "/tmp/axb.log",
+        "/tmp/ab.log",
+        "/tmp/x.tar.gz",
+        "/tmp/gz.tar",
+        "/tmp/tarball",
+    ];
+    for name in names {
+        sim.read_file(tar, name, 4096, 1);
+    }
+    sim.exit(tar);
+    let log = threatraptor::audit::LogParser::parse(&sim.finish());
+    let raptor = ThreatRaptor::from_log(&log).unwrap();
+    let cases = [
+        ("%/tmp/a_b%", vec!["/tmp/a_b.log", "/tmp/axb.log"]),
+        ("%tar%gz%", vec!["/tmp/x.tar.gz"]),
+        ("%/a_b.l_", vec![]),
+        ("/tmp/a_b.lo%", vec!["/tmp/a_b.log", "/tmp/axb.log"]),
+    ];
+    for (pattern, want) in cases {
+        let q = format!(r#"proc p["%/bin/tar%"] read file f["{pattern}"] as e1 return distinct f"#);
+        let want: Vec<Vec<String>> = want.iter().map(|n| vec![n.to_string()]).collect();
+        let path_q =
+            print_query(&to_length1_path_query(&threatraptor::tbql::parse_tbql(&q).unwrap()));
+        for mode in [ExecMode::Scheduled, ExecMode::GiantSql, ExecMode::GiantCypher] {
+            let (r, _) = raptor.query_with_mode(&q, mode).unwrap();
+            assert_eq!(r.sorted_rows(), want, "{mode:?}: {q}");
+        }
+        let (r, _) = raptor.query_with_mode(&path_q, ExecMode::Scheduled).unwrap();
+        assert_eq!(r.sorted_rows(), want, "graph path variant: {path_q}");
+    }
+}
+
 /// The golden file pinned from the pre-refactor (owned-string) pipeline:
 /// per corpus query, the projected columns and `sorted_rows()` rendering.
 fn golden_rows() -> Vec<(Vec<String>, Vec<Vec<String>>)> {
